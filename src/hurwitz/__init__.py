@@ -19,15 +19,13 @@ from .exactarith import (
     taylor_coefficients,
 )
 from .npoint import (
-    CyclicOrder,
-    EdgeAssignment,
     enumerate_cycles,
     enumerate_edge_assignments,
     monotone_generating,
     simple_generating,
 )
 from .oracle import ConstellationQuery, count_constellations, is_transitive, oracle_hurwitz
-from .partitions import Partition, conjugate, frobenius, hook_product, partitions_of
+from .partitions import Partition, conjugate, hook_product, partitions_of
 
 __version__ = "0.1.0"
 
@@ -35,7 +33,6 @@ __all__ = [
     "Partition",
     "partitions_of",
     "conjugate",
-    "frobenius",
     "hook_product",
     "Poly",
     "FactoredRationalFunction",
@@ -45,8 +42,6 @@ __all__ = [
     "taylor_coefficients",
     "monotone_affine",
     "simple_affine",
-    "CyclicOrder",
-    "EdgeAssignment",
     "enumerate_cycles",
     "enumerate_edge_assignments",
     "monotone_generating",

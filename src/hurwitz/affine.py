@@ -8,34 +8,13 @@ monotone tau-function, a single exponential for the simple one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .exactarith import FactoredRationalFunction, Poly
 
-__all__ = [
-    "MonotoneAffineWeight",
-    "SimpleAffineWeight",
-    "monotone_affine",
-    "simple_affine",
-]
-
-
-@dataclass(frozen=True)
-class MonotoneAffineWeight:
-    """Rational-function weight with poles among hbar = -1/j, -m <= j <= n."""
-
-    value: FactoredRationalFunction
-
-
-@dataclass(frozen=True)
-class SimpleAffineWeight:
-    """Exponential weight coefficient * e^{exponent_k * hbar}."""
-
-    exponent_k: int
-    coefficient: Fraction
+__all__ = ["monotone_affine", "simple_affine"]
 
 
 def _hook_coefficient(n: int, m: int) -> Fraction:
@@ -43,7 +22,7 @@ def _hook_coefficient(n: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def monotone_affine(n: int, m: int) -> MonotoneAffineWeight:
+def monotone_affine(n: int, m: int) -> FactoredRationalFunction:
     """Weight (-1)^n / ((m+n+1) m! n!) * prod_{j=-m}^{n} 1/(1 + j*hbar).
 
     The factor (1 + j*hbar) is stored under the key k = -j, so the factored
@@ -52,15 +31,17 @@ def monotone_affine(n: int, m: int) -> MonotoneAffineWeight:
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     factors = {-j: 1 for j in range(-m, n + 1) if j != 0}
-    value = FactoredRationalFunction(Poly.constant(_hook_coefficient(n, m)), factors)
-    return MonotoneAffineWeight(value)
+    return FactoredRationalFunction(Poly.constant(_hook_coefficient(n, m)), factors)
 
 
 @lru_cache(maxsize=None)
-def simple_affine(n: int, m: int) -> SimpleAffineWeight:
-    """Weight (-1)^n / ((m+n+1) m! n!) * e^{hbar (m^2+m-n^2-n)/2}."""
+def simple_affine(n: int, m: int) -> tuple[int, Fraction]:
+    """Weight (-1)^n / ((m+n+1) m! n!) * e^{hbar (m^2+m-n^2-n)/2}.
+
+    Returned as (k, coefficient) for coefficient * e^{k*hbar}.
+    """
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     twice = m * m + m - n * n - n
     assert twice % 2 == 0
-    return SimpleAffineWeight(twice // 2, _hook_coefficient(n, m))
+    return twice // 2, _hook_coefficient(n, m)

@@ -20,8 +20,10 @@ import csv
 import io
 import json
 import sys
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable
 
 from . import closedform, oracle
 from .closedform import GenusClosedForm
@@ -71,328 +73,232 @@ def _decimal_string(value: Fraction, digits: int = 6) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _mu_text(mu: Partition) -> str:
-    return ",".join(str(p) for p in mu.parts)
+def _optional_rational(value: Fraction | None) -> str | None:
+    return None if value is None else format_rational(value)
 
 
-def _emit(document: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(document)
-    else:
-        sys.stdout.write(document)
+@dataclass(frozen=True)
+class _Document:
+    """One command's result; the JSON payload is its only data model.
+
+    CSV projects ``rows`` (dicts taken from the payload) onto ``columns``.
+    ``text`` builds the text lines from the payload's strings and is called
+    only when text output is asked for.
+    """
+
+    payload: dict
+    columns: tuple[str, ...]
+    rows: list[dict]
+    text: Callable[[], list[str]]
+    code: int = 0
 
 
-def _csv_document(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _cell(value) -> str:
+    """One CSV cell (also used for mu in text lines)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if value is None:
+        return ""
+    return str(value)
 
 
-def _json_document(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _cmd_closed_form(args) -> int:
-    mu = _parse_mu(args.mu)
-    form = _closed_form(args.kind, mu, args.force)
-    if args.format == "json":
-        document = _json_document(closedform.to_json_dict(form))
-    elif args.format == "csv":
-        document = _csv_document(
-            ["k", "i", "coeff"], [list(row) for row in closedform.csv_rows(form)]
+def _render(document: _Document, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(document.payload, indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(document.columns)
+        writer.writerows(
+            [_cell(row[c]) for c in document.columns] for row in document.rows
         )
-    else:
-        lines = [
-            f"kind: {form.kind}",
-            f"mu: {_mu_text(mu)}",
-            f"b = 2g + {form.b_offset}",
-            f"normalization: {format_rational(form.normalization)}",
-            "terms (coeff * b^(i-1) * k^b):",
-        ]
-        lines += [
-            f"  k={k} i={i} coeff={format_rational(c)}" for k, i, c in form.terms
-        ]
-        document = "\n".join(lines) + "\n"
-    _emit(document, args.output)
-    return 0
+        return buffer.getvalue()
+    return "\n".join(document.text()) + "\n"
 
 
-def _cmd_eval(args) -> int:
-    mu = _parse_mu(args.mu)
-    form = _closed_form(args.kind, mu, args.force)
-    value = closedform.evaluate(form, args.genus)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "mu": list(mu.parts),
-            "genus": args.genus,
-            "b": 2 * args.genus + form.b_offset,
-            "value": format_rational(value),
-        }
-        document = _json_document(payload)
-    elif args.format == "csv":
-        document = _csv_document(
-            ["kind", "mu", "genus", "value"],
-            [[args.kind, _mu_text(mu), str(args.genus), format_rational(value)]],
-        )
-    else:
-        document = format_rational(value) + "\n"
-    _emit(document, args.output)
-    return 0
-
-
-def _table_rows(kind: str, mu: Partition, genus_max: int, force: bool):
-    form = _closed_form(kind, mu, force)
-    rows = []
-    for g in range(genus_max + 1):
-        value = closedform.evaluate(form, g)
-        rows.append((g, 2 * g + form.b_offset, value))
-    return rows
-
-
-def _cmd_table(args) -> int:
-    mu = _parse_mu(args.mu)
-    rows = _table_rows(args.kind, mu, args.genus_max, args.force)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "mu": list(mu.parts),
-            "rows": [
-                {
-                    "g": g,
-                    "b": b,
-                    "value": format_rational(v),
-                    "decimal": _decimal_string(v),
-                }
-                for g, b, v in rows
-            ],
-        }
-        document = _json_document(payload)
-    elif args.format == "csv":
-        document = _csv_document(
-            ["g", "b", "value", "decimal"],
-            [
-                [str(g), str(b), format_rational(v), _decimal_string(v)]
-                for g, b, v in rows
-            ],
-        )
-    else:
-        lines = [f"kind: {args.kind}", f"mu: {_mu_text(mu)}", "g  b  value  decimal"]
-        lines += [
-            f"{g}  {b}  {format_rational(v)}  {_decimal_string(v)}"
-            for g, b, v in rows
-        ]
-        document = "\n".join(lines) + "\n"
-    _emit(document, args.output)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    mu = _parse_mu(args.mu)
-    b = 2 * args.genus - 2 + mu.size + mu.length
-    if b < 0:
-        raise ValueError("2g - 2 + d + l must be >= 0")
-    count = oracle.count_constellations(
-        oracle.ConstellationQuery(mu, b, args.kind == "monotone"), force=args.force
+def _cmd_closed_form(args) -> _Document:
+    payload = closedform.to_json_dict(
+        _closed_form(args.kind, _parse_mu(args.mu), args.force)
     )
-    value = oracle.oracle_hurwitz(mu, args.genus, args.kind, force=args.force)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "mu": list(mu.parts),
-            "genus": args.genus,
-            "b": b,
-            "count": count,
-            "hurwitz": format_rational(value),
-        }
-        document = _json_document(payload)
-    elif args.format == "csv":
-        document = _csv_document(
-            ["kind", "mu", "genus", "b", "count", "hurwitz"],
-            [
-                [
-                    args.kind,
-                    _mu_text(mu),
-                    str(args.genus),
-                    str(b),
-                    str(count),
-                    format_rational(value),
-                ]
-            ],
-        )
-    else:
-        document = (
-            f"mu={_mu_text(mu)} kind={args.kind} genus={args.genus} b={b} "
-            f"count={count} hurwitz={format_rational(value)}\n"
-        )
-    _emit(document, args.output)
-    return 0
+    terms = payload["terms"]
+
+    def text() -> list[str]:
+        return [
+            f"kind: {args.kind}",
+            f"mu: {_cell(payload['mu'])}",
+            f"b = 2g + {payload['b_offset']}",
+            f"normalization: {payload['normalization']}",
+            "terms (coeff * b^(i-1) * k^b):",
+        ] + [f"  k={t['k']} i={t['i']} coeff={t['coeff']}" for t in terms]
+
+    return _Document(payload, ("k", "i", "coeff"), terms, text)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_eval(args) -> _Document:
+    mu = _parse_mu(args.mu)
+    form = _closed_form(args.kind, mu, args.force)
+    value = format_rational(closedform.evaluate(form, args.genus))
+    payload = {
+        "kind": args.kind,
+        "mu": list(mu.parts),
+        "genus": args.genus,
+        "b": 2 * args.genus + form.b_offset,
+        "value": value,
+    }
+    return _Document(
+        payload, ("kind", "mu", "genus", "value"), [payload], lambda: [value]
+    )
+
+
+def _cmd_table(args) -> _Document:
     mu = _parse_mu(args.mu)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
-    matches = 0
+    for g in range(args.genus_max + 1):
+        value = closedform.evaluate(form, g)
+        rows.append(
+            {
+                "g": g,
+                "b": 2 * g + form.b_offset,
+                "value": format_rational(value),
+                "decimal": _decimal_string(value),
+            }
+        )
+    payload = {"kind": args.kind, "mu": list(mu.parts), "rows": rows}
+
+    def text() -> list[str]:
+        lines = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "g  b  value  decimal"]
+        return lines + [f"{r['g']}  {r['b']}  {r['value']}  {r['decimal']}" for r in rows]
+
+    return _Document(payload, ("g", "b", "value", "decimal"), rows, text)
+
+
+def _cmd_oracle(args) -> _Document:
+    mu = _parse_mu(args.mu)
+    b, count, value = oracle.oracle_count(mu, args.genus, args.kind, force=args.force)
+    payload = {
+        "kind": args.kind,
+        "mu": list(mu.parts),
+        "genus": args.genus,
+        "b": b,
+        "count": count,
+        "hurwitz": format_rational(value),
+    }
+
+    def text() -> list[str]:
+        return [
+            f"mu={_cell(payload['mu'])} kind={args.kind} genus={args.genus} b={b} "
+            f"count={count} hurwitz={payload['hurwitz']}"
+        ]
+
+    columns = ("kind", "mu", "genus", "b", "count", "hurwitz")
+    return _Document(payload, columns, [payload], text)
+
+
+def _cmd_verify(args) -> _Document:
+    mu = _parse_mu(args.mu)
+    form = _closed_form(args.kind, mu, args.force)
+    rows = []
     for g in range(args.genus_max + 1):
         lhs = closedform.evaluate(form, g)
         rhs = oracle.oracle_hurwitz(mu, g, args.kind, force=args.force)
-        ok = lhs == rhs
-        matches += ok
-        rows.append((g, lhs, rhs, ok))
-    total = args.genus_max + 1
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "mu": list(mu.parts),
-            "rows": [
-                {
-                    "g": g,
-                    "closed_form": format_rational(lhs),
-                    "oracle": format_rational(rhs),
-                    "match": ok,
-                }
-                for g, lhs, rhs, ok in rows
-            ],
-            "matches": matches,
-            "total": total,
-        }
-        document = _json_document(payload)
-    elif args.format == "csv":
-        document = _csv_document(
-            ["g", "closed_form", "oracle", "match"],
-            [
-                [str(g), format_rational(lhs), format_rational(rhs), str(ok).lower()]
-                for g, lhs, rhs, ok in rows
-            ],
+        rows.append(
+            {
+                "g": g,
+                "closed_form": format_rational(lhs),
+                "oracle": format_rational(rhs),
+                "match": lhs == rhs,
+            }
         )
-    else:
-        lines = [f"mu={_mu_text(mu)} kind={args.kind}"]
+    matches = sum(r["match"] for r in rows)
+    payload = {
+        "kind": args.kind,
+        "mu": list(mu.parts),
+        "rows": rows,
+        "matches": matches,
+        "total": len(rows),
+    }
+
+    def text() -> list[str]:
+        lines = [f"mu={_cell(payload['mu'])} kind={args.kind}"]
         lines += [
-            f"g={g} closed-form={format_rational(lhs)} oracle={format_rational(rhs)} "
-            + ("match" if ok else "MISMATCH")
-            for g, lhs, rhs, ok in rows
+            f"g={r['g']} closed-form={r['closed_form']} oracle={r['oracle']} "
+            + ("match" if r["match"] else "MISMATCH")
+            for r in rows
         ]
-        lines.append(f"{matches}/{total} genera match")
-        document = "\n".join(lines) + "\n"
-    _emit(document, args.output)
-    return 0 if matches == total else 2
+        return lines + [f"{matches}/{len(rows)} genera match"]
+
+    code = 0 if matches == len(rows) else 2
+    return _Document(payload, ("g", "closed_form", "oracle", "match"), rows, text, code)
 
 
-def _cmd_checks(args) -> int:
+def _cmd_checks(args) -> _Document:
     rows = []
-    all_ok = True
     for d in range(2, args.d_max + 1):
         for mu in partitions_of(d):
             form = _closed_form(args.kind, mu, args.force)
             report = closedform.structure_checks(form)
             integral = all(c.denominator == 1 for _, _, c in form.terms)
-            ok = report.passed and (args.kind == "monotone" or integral)
-            all_ok = all_ok and ok
-            rows.append((d, mu, report, ok))
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "d_max": args.d_max,
-            "rows": [
+            rows.append(
                 {
                     "d": d,
                     "mu": list(mu.parts),
                     "top": format_rational(report.top_coefficient),
                     "expected_top": format_rational(report.expected_top),
                     "gap_all_zero": report.gap_all_zero,
-                    "second": None
-                    if report.second_coefficient is None
-                    else format_rational(report.second_coefficient),
-                    "expected_second": None
-                    if report.expected_second is None
-                    else format_rational(report.expected_second),
-                    "pass": ok,
+                    "second": _optional_rational(report.second_coefficient),
+                    "expected_second": _optional_rational(report.expected_second),
+                    "pass": report.passed and (args.kind == "monotone" or integral),
                 }
-                for d, mu, report, ok in rows
-            ],
-            "all_pass": all_ok,
-        }
-        document = _json_document(payload)
-    elif args.format == "csv":
-        document = _csv_document(
-            ["d", "mu", "top", "gap_all_zero", "second", "pass"],
-            [
-                [
-                    str(d),
-                    _mu_text(mu),
-                    format_rational(report.top_coefficient),
-                    str(report.gap_all_zero).lower(),
-                    ""
-                    if report.second_coefficient is None
-                    else format_rational(report.second_coefficient),
-                    str(ok).lower(),
-                ]
-                for d, mu, report, ok in rows
-            ],
-        )
-    else:
+            )
+    passed = sum(r["pass"] for r in rows)
+    payload = {
+        "kind": args.kind,
+        "d_max": args.d_max,
+        "rows": rows,
+        "all_pass": passed == len(rows),
+    }
+
+    def text() -> list[str]:
         lines = [f"kind: {args.kind}"]
-        for d, mu, report, ok in rows:
-            second = (
-                "-"
-                if report.second_coefficient is None
-                else format_rational(report.second_coefficient)
-            )
-            lines.append(
-                f"d={d} mu={_mu_text(mu)} top={format_rational(report.top_coefficient)}"
-                f" gap={'ok' if report.gap_all_zero else 'BAD'} second={second} "
-                + ("pass" if ok else "FAIL")
-            )
-        lines.append(
-            f"{sum(1 for *_r, ok in rows if ok)}/{len(rows)} partitions conform"
-        )
-        document = "\n".join(lines) + "\n"
-    _emit(document, args.output)
-    return 0 if all_ok else 2
+        lines += [
+            f"d={r['d']} mu={_cell(r['mu'])} top={r['top']}"
+            f" gap={'ok' if r['gap_all_zero'] else 'BAD'}"
+            f" second={'-' if r['second'] is None else r['second']} "
+            + ("pass" if r["pass"] else "FAIL")
+            for r in rows
+        ]
+        return lines + [f"{passed}/{len(rows)} partitions conform"]
+
+    columns = ("d", "mu", "top", "gap_all_zero", "second", "pass")
+    return _Document(payload, columns, rows, text, 0 if payload["all_pass"] else 2)
 
 
-def _cmd_asymptotics(args) -> int:
+def _cmd_asymptotics(args) -> _Document:
     mu = _parse_mu(args.mu)
     form = _closed_form(args.kind, mu, args.force)
-    terms = closedform.asymptotics(form)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "mu": list(mu.parts),
-            "b_offset": form.b_offset,
-            "terms": [
-                {
-                    "k": t.k,
-                    "i": t.i,
-                    "coeff": format_rational(t.coeff),
-                    "leading": t.leading,
-                }
-                for t in terms
-            ],
-        }
-        document = _json_document(payload)
-    elif args.format == "csv":
-        document = _csv_document(
-            ["k", "i", "coeff", "leading"],
-            [
-                [str(t.k), str(t.i), format_rational(t.coeff), str(t.leading).lower()]
-                for t in terms
-            ],
-        )
-    else:
-        lines = [f"kind: {args.kind}", f"mu: {_mu_text(mu)}", "terms by dominance:"]
-        lines += [
-            f"  k={t.k} i={t.i} coeff={format_rational(t.coeff)}"
-            + (" [leading]" if t.leading else "")
+    terms = [
+        {"k": t.k, "i": t.i, "coeff": format_rational(t.coeff), "leading": t.leading}
+        for t in closedform.asymptotics(form)
+    ]
+    payload = {
+        "kind": args.kind,
+        "mu": list(mu.parts),
+        "b_offset": form.b_offset,
+        "terms": terms,
+    }
+
+    def text() -> list[str]:
+        lines = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "terms by dominance:"]
+        return lines + [
+            f"  k={t['k']} i={t['i']} coeff={t['coeff']}"
+            + (" [leading]" if t["leading"] else "")
             for t in terms
         ]
-        document = "\n".join(lines) + "\n"
-    _emit(document, args.output)
-    return 0
+
+    return _Document(payload, ("k", "i", "coeff", "leading"), terms, text)
 
 
 def _add_common(sub: argparse.ArgumentParser, mu_required: bool = True) -> None:
@@ -450,15 +356,30 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact values can run to many thousands of digits; print them in full.
+    digit_limit = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "genus_max", 0) < 0:
             raise ValueError("--genus-max must be >= 0")
         if getattr(args, "d_max", 2) < 2:
             raise ValueError("--d-max must be >= 2")
-        return args.handler(args)
+        document = args.handler(args)
+        rendered = _render(document, args.format)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+        return document.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

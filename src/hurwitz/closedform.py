@@ -37,7 +37,6 @@ __all__ = [
     "monotone_leading_coefficient",
     "to_json_dict",
     "from_json_dict",
-    "csv_rows",
 ]
 
 KIND_MONOTONE = "monotone"
@@ -283,6 +282,3 @@ def from_json_dict(data: dict) -> GenusClosedForm:
         raise ValueError("b_offset inconsistent with mu")
     return form
 
-
-def csv_rows(form: GenusClosedForm) -> list[tuple[str, str, str]]:
-    return [(str(k), str(i), format_rational(c)) for k, i, c in form.terms]

@@ -21,14 +21,12 @@ __all__ = [
     "FactoredRationalFunction",
     "PartialFraction",
     "ExpSum",
-    "rf_add",
+    "common_denominator_sum",
     "rf_mul",
     "partial_fractions",
     "recombine",
     "taylor_coefficients",
     "expsum_add",
-    "expsum_scale",
-    "expsum_shift",
     "format_rational",
     "parse_rational",
 ]
@@ -89,6 +87,8 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         if self.is_zero() or other.is_zero():
             return Poly()
+        if len(other.coeffs) == 1:
+            return self.scale(other.coeffs[0])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -208,26 +208,30 @@ class FactoredRationalFunction:
         )
 
     def __add__(self, other: FactoredRationalFunction) -> FactoredRationalFunction:
-        return rf_add(self, other)
+        return common_denominator_sum(
+            (f.numerator, f.denominator_factors) for f in (self, other)
+        )
 
     def __mul__(self, other: FactoredRationalFunction) -> FactoredRationalFunction:
         return rf_mul(self, other)
 
 
-def rf_add(
-    a: FactoredRationalFunction, b: FactoredRationalFunction
-) -> FactoredRationalFunction:
-    """Exact sum over the least common factored denominator."""
-    common = dict(a.denominator_factors)
-    for k, e in b.denominator_factors.items():
-        common[k] = max(common.get(k, 0), e)
-    na = a.numerator * _expand_factors(
-        {k: e - a.denominator_factors.get(k, 0) for k, e in common.items()}
-    )
-    nb = b.numerator * _expand_factors(
-        {k: e - b.denominator_factors.get(k, 0) for k, e in common.items()}
-    )
-    return FactoredRationalFunction(na + nb, common)
+def common_denominator_sum(terms) -> FactoredRationalFunction:
+    """Exact sum of numerator / prod_k (1 - k*hbar)^{e_k} terms.
+
+    ``terms`` yields (numerator Poly, factor multiplicity map) pairs; every
+    numerator is lifted to the least common factored denominator.
+    """
+    terms = [(num, factors) for num, factors in terms if not num.is_zero()]
+    common: dict[int, int] = {}
+    for _, factors in terms:
+        for k, e in factors.items():
+            common[k] = max(common.get(k, 0), e)
+    total = Poly()
+    for num, factors in terms:
+        deficit = {k: e - factors.get(k, 0) for k, e in common.items()}
+        total = total + _expand_factors(deficit) * num
+    return FactoredRationalFunction(total, common)
 
 
 def rf_mul(
@@ -292,15 +296,10 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFraction:
 
 def recombine(pf: PartialFraction) -> FactoredRationalFunction:
     """Reassemble a partial-fraction decomposition over a common denominator."""
-    common: dict[int, int] = {}
-    for k, i in pf.terms:
-        common[k] = max(common.get(k, 0), i)
-    num = _expand_factors(common).scale(pf.constant)
-    for (k, i), c in sorted(pf.terms.items()):
-        deficit = dict(common)
-        deficit[k] -= i
-        num = num + _expand_factors(deficit).scale(c)
-    return FactoredRationalFunction(num, common)
+    return common_denominator_sum(
+        [(Poly.constant(pf.constant), {})]
+        + [(Poly.constant(c), {k: i}) for (k, i), c in pf.terms.items()]
+    )
 
 
 def taylor_coefficients(f: FactoredRationalFunction, order: int) -> list[Fraction]:
@@ -356,16 +355,6 @@ def expsum_add(a: ExpSum, b: ExpSum) -> ExpSum:
     return ExpSum(out)
 
 
-def expsum_scale(a: ExpSum, value) -> ExpSum:
-    c = Fraction(value)
-    return ExpSum({k: c * v for k, v in a.terms.items()})
-
-
-def expsum_shift(a: ExpSum, delta: int) -> ExpSum:
-    """Multiply by e^{delta*hbar}: every key moves by delta."""
-    return ExpSum({k + int(delta): v for k, v in a.terms.items()})
-
-
 def format_rational(value) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     value = Fraction(value)
@@ -377,11 +366,3 @@ def format_rational(value) -> str:
 def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
-
-def poly_to_strings(p: Poly) -> list[str]:
-    """Coefficient array, lowest degree first, each entry a rational string."""
-    return [format_rational(c) for c in p.coeffs]
-
-
-def poly_from_strings(values) -> Poly:
-    return Poly(tuple(parse_rational(v) for v in values))

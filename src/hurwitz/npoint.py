@@ -15,26 +15,23 @@ Requiring every vertex's two incident exponents to sum to -mu_v - 1 pins
 all h and n indices once the affine m indices are chosen, so the search
 space is a set of bounded compositions rather than a formal series ring.
 
-The single-part case l = 1 bypasses the cycle machinery: the one-point
-function is the plain diagonal sum over n + m = d - 1 of affine weights.
+The single-part case l = 1 has no cycles: the one-point function is the
+plain diagonal sum over n + m = d - 1 of affine weights.  For l = 2 the
+subtracted principal part 1/(z_1 - z_2)^2 expands with only nonnegative
+powers of z_2, so it never reaches the target coefficient.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 from .affine import monotone_affine, simple_affine
-from .exactarith import ExpSum, FactoredRationalFunction, Poly, _expand_factors
+from .exactarith import ExpSum, FactoredRationalFunction, Poly, common_denominator_sum
 from .partitions import Partition
 
 __all__ = [
-    "CyclicOrder",
-    "Principal",
-    "Affine",
-    "EdgeAssignment",
     "enumerate_cycles",
     "enumerate_edge_assignments",
     "monotone_generating",
@@ -42,68 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicOrder:
-    """A full cycle on {1..l}, stored as the visiting sequence starting at 1."""
-
-    visit: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.visit or self.visit[0] != 1:
-            raise ValueError("visiting sequence must start at 1")
-        if sorted(self.visit) != list(range(1, len(self.visit) + 1)):
-            raise ValueError("visiting sequence must cover 1..l exactly once")
-
-    @property
-    def length(self) -> int:
-        return len(self.visit)
-
-
-@dataclass(frozen=True)
-class Principal:
-    """Principal-part edge term with free exponent h >= 0."""
-
-    h: int
-
-
-@dataclass(frozen=True)
-class Affine:
-    """Affine-coordinate edge term with indices n, m >= 0."""
-
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class EdgeAssignment:
-    """Per-edge terms of one cycle, edge i at index i-1."""
-
-    edges: tuple[Principal | Affine, ...]
-
-    @property
-    def affine_indices(self) -> frozenset[int]:
-        """The 1-based subset of edges carrying affine terms."""
-        return frozenset(
-            i for i, e in enumerate(self.edges, start=1) if isinstance(e, Affine)
-        )
-
-
-def enumerate_cycles(l: int) -> list[CyclicOrder]:
-    """All (l-1)! full cycles on {1..l}."""
+def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
+    """All (l-1)! full cycles on {1..l}, as visiting sequences starting at 1."""
     if l < 2:
         raise ValueError("cycles need l >= 2")
-    return [CyclicOrder((1,) + rest) for rest in permutations(range(2, l + 1))]
+    return [(1,) + rest for rest in permutations(range(2, l + 1))]
 
 
-def _edge_frame(order: CyclicOrder) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _edge_frame(cycle: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Tails and heads of the cycle's edges; edge i runs tails[i-1] -> heads[i-1].
 
     The i-th edge joins the i-th and (i+1)-th iterates of 1 under the cycle,
     so the frame starts at the successor of 1 and wraps back around to it.
     """
-    v = order.visit
-    tails = v[1:] + (v[0],)
-    heads = tails[1:] + (tails[0],)
+    tails = cycle[1:] + cycle[:1]
+    heads = tails[1:] + tails[:1]
     return tails, heads
 
 
@@ -156,28 +106,26 @@ def _search(
     return results
 
 
-def enumerate_edge_assignments(
-    order: CyclicOrder, mu: Partition
-) -> list[EdgeAssignment]:
-    """The complete finite list of balanced edge assignments for one cycle."""
+def enumerate_edge_assignments(cycle: tuple[int, ...], mu: Partition) -> list[tuple]:
+    """The complete finite list of balanced per-edge term tuples for one cycle.
+
+    Terms are ("P", h) or ("A", n, m), edge i at index i-1.
+    """
+    cycle = tuple(cycle)
+    if cycle[:1] != (1,) or sorted(cycle) != list(range(1, len(cycle) + 1)):
+        raise ValueError("cycle must visit 1..l exactly once, starting at 1")
     if mu.length < 2:
         raise ValueError("edge assignments need a profile with l >= 2")
-    if order.length != mu.length:
+    if len(cycle) != mu.length:
         raise ValueError("cycle length must equal the number of parts")
-    tails, heads = _edge_frame(order)
+    tails, heads = _edge_frame(cycle)
     head_mu = tuple(mu.parts[h - 1] for h in heads)
     ascending = tuple(t < h for t, h in zip(tails, heads))
-    out = []
-    for terms in _search(head_mu, ascending, mu.size):
-        edges = tuple(
-            Principal(t[1]) if t[0] == "P" else Affine(t[1], t[2]) for t in terms
-        )
-        out.append(EdgeAssignment(edges))
-    return out
+    return _search(head_mu, ascending, mu.size)
 
 
 def _canonical_signature(
-    order: CyclicOrder, mu: Partition
+    cycle: tuple[int, ...], mu: Partition
 ) -> tuple[tuple[bool, int], ...]:
     """Rotation-canonical (direction, head part) sequence of a cycle.
 
@@ -185,7 +133,7 @@ def _canonical_signature(
     the part sizes at edge heads, both of which rotate with the edge
     labelling, so cycles sharing this signature contribute identically.
     """
-    tails, heads = _edge_frame(order)
+    tails, heads = _edge_frame(cycle)
     seq = tuple(
         (t < h, mu.parts[h - 1]) for t, h in zip(tails, heads)
     )
@@ -224,12 +172,15 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], Frac
 
     Sums over all (l-1)! cycles (grouped by signature) and all balanced
     assignments, folding in the global (-1)^{l-1} and the principal signs.
+    A single part contributes each diagonal pair (n, d-1-n) once.
     """
-    l = mu.length
+    d, l = mu.size, mu.length
+    if l == 1:
+        return {((n, d - 1 - n),): Fraction(1) for n in range(d)}
     global_sign = -1 if l % 2 == 0 else 1
     sig_counts: Counter = Counter()
-    for order in enumerate_cycles(l):
-        sig_counts[_canonical_signature(order, mu)] += 1
+    for cycle in enumerate_cycles(l):
+        sig_counts[_canonical_signature(cycle, mu)] += 1
     out: dict[tuple[tuple[int, int], ...], Fraction] = {}
     for signature in sorted(sig_counts):
         n_cycles = sig_counts[signature]
@@ -239,27 +190,6 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], Frac
     return out
 
 
-def _combine_factored(
-    accumulated: dict[tuple[tuple[int, int], ...], Fraction]
-) -> FactoredRationalFunction:
-    """Sum constant/[factored denominator] contributions exactly."""
-    common: dict[int, int] = {}
-    for key, c in accumulated.items():
-        if c == 0:
-            continue
-        for k, e in key:
-            common[k] = max(common.get(k, 0), e)
-    numerator = Poly()
-    for key in sorted(accumulated):
-        c = accumulated[key]
-        if c == 0:
-            continue
-        have = dict(key)
-        deficit = {k: e - have.get(k, 0) for k, e in common.items()}
-        numerator = numerator + _expand_factors(deficit).scale(c)
-    return FactoredRationalFunction(numerator, common)
-
-
 @lru_cache(maxsize=None)
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     """The rational function mu_1...mu_l * sum_g hbar^{2g-2+d+l} vecH_{g;mu}.
@@ -267,27 +197,21 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     Poles sit only at hbar = 1/k for 1 <= |k| <= d-1; the reduced pole
     order at 1/k never exceeds min(l, (d-1)//|k|).
     """
-    d, l = mu.size, mu.length
-    if d < 2:
+    if mu.size < 2:
         raise ValueError("degree must be >= 2")
     accumulated: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    if l == 1:
-        for n in range(d):
-            weight = monotone_affine(n, d - 1 - n).value
-            key = tuple(sorted(weight.denominator_factors.items()))
-            coeff = weight.numerator.coefficient(0)
-            accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
-        return _combine_factored(accumulated)
     for pairs, total in _weighted_pair_sums(mu).items():
         coeff = total
         factors: Counter = Counter()
         for n, m in pairs:
-            weight = monotone_affine(n, m).value
+            weight = monotone_affine(n, m)
             coeff *= weight.numerator.coefficient(0)
             factors.update(weight.denominator_factors)
         key = tuple(sorted(factors.items()))
         accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
-    return _combine_factored(accumulated)
+    return common_denominator_sum(
+        (Poly.constant(c), dict(key)) for key, c in accumulated.items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -297,27 +221,16 @@ def simple_generating(mu: Partition) -> ExpSum:
     Support is contained in |k| <= d(d-1)/2 and obeys the parity
     D(mu;k) = (-1)^{d+l} D(mu;-k).
     """
-    d, l = mu.size, mu.length
-    if d < 2:
+    if mu.size < 2:
         raise ValueError("degree must be >= 2")
     accumulated: dict[int, Fraction] = {}
-    if l == 1:
-        for n in range(d):
-            weight = simple_affine(n, d - 1 - n)
-            k = weight.exponent_k
-            accumulated[k] = accumulated.get(k, Fraction(0)) + weight.coefficient
-        return ExpSum({k: c / d for k, c in accumulated.items()})
-    if l == 2:
-        # The subtracted principal part 1/(z_1 - z_2)^2 expands with only
-        # nonnegative powers of z_2, so it cannot reach z_2^{-mu_2-1}.
-        assert mu.parts[1] >= 1, "second part must be positive"
     for pairs, total in _weighted_pair_sums(mu).items():
         coeff = total
         exponent = 0
         for n, m in pairs:
-            weight = simple_affine(n, m)
-            coeff *= weight.coefficient
-            exponent += weight.exponent_k
+            k, c = simple_affine(n, m)
+            coeff *= c
+            exponent += k
         accumulated[exponent] = accumulated.get(exponent, Fraction(0)) + coeff
     scale = Fraction(1)
     for p in mu.parts:

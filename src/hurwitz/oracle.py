@@ -28,6 +28,7 @@ __all__ = [
     "ORACLE_MAX_DEGREE",
     "ORACLE_MAX_BRANCH_POINTS",
     "count_constellations",
+    "oracle_count",
     "oracle_hurwitz",
     "is_transitive",
 ]
@@ -174,8 +175,13 @@ def count_constellations(query: ConstellationQuery, force: bool = False) -> int:
     return total
 
 
-def oracle_hurwitz(mu: Partition, g: int, kind: str, force: bool = False) -> Fraction:
-    """|Aut(mu)| / d! times the constellation count at b = 2g - 2 + d + l."""
+def oracle_count(
+    mu: Partition, g: int, kind: str, force: bool = False
+) -> tuple[int, int, Fraction]:
+    """(b, constellation count, Hurwitz number) at b = 2g - 2 + d + l.
+
+    The Hurwitz number is |Aut(mu)| / d! times the constellation count.
+    """
     if kind not in ("simple", "monotone"):
         raise ValueError(f"unknown kind {kind!r}")
     if g < 0:
@@ -186,4 +192,9 @@ def oracle_hurwitz(mu: Partition, g: int, kind: str, force: bool = False) -> Fra
     count = count_constellations(
         ConstellationQuery(mu, b, kind == "monotone"), force=force
     )
-    return Fraction(aut_order(mu) * count, factorial(mu.size))
+    return b, count, Fraction(aut_order(mu) * count, factorial(mu.size))
+
+
+def oracle_hurwitz(mu: Partition, g: int, kind: str, force: bool = False) -> Fraction:
+    """The exact Hurwitz number at genus g, counted by brute force."""
+    return oracle_count(mu, g, kind, force)[2]

@@ -9,18 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-__all__ = [
-    "Partition",
-    "FrobeniusCoords",
-    "partitions_of",
-    "conjugate",
-    "frobenius",
-    "partition_from_frobenius",
-    "hook_product",
-    "kappa",
-    "aut_order",
-    "z_lambda",
-]
+__all__ = ["Partition", "partitions_of", "conjugate", "hook_product", "aut_order"]
 
 
 @dataclass(frozen=True)
@@ -65,28 +54,6 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class FrobeniusCoords:
-    """Arm/leg coordinates (m_1,...,m_r | n_1,...,n_r) of a partition."""
-
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.arms) != len(self.legs) or not self.arms:
-            raise ValueError("arms and legs must be nonempty and of equal length")
-        for seq in (self.arms, self.legs):
-            if any(a < 0 for a in seq):
-                raise ValueError("coordinates must be nonnegative")
-            if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-                raise ValueError("coordinates must be strictly decreasing")
-
-    def __str__(self) -> str:
-        arms = ",".join(str(a) for a in self.arms)
-        legs = ",".join(str(a) for a in self.legs)
-        return f"({arms}|{legs})"
-
-
 def partitions_of(d: int) -> list[Partition]:
     """All partitions of d, in reverse-lexicographic order."""
     if d < 0:
@@ -117,32 +84,6 @@ def conjugate(mu: Partition) -> Partition:
     return Partition(tuple(cols))
 
 
-def frobenius(mu: Partition) -> FrobeniusCoords:
-    """Arm/leg coordinates m_i = mu_i - i, n_i = mu^t_i - i along the diagonal."""
-    if mu.length == 0:
-        raise ValueError("no Frobenius coordinates")
-    conj = conjugate(mu).parts
-    arms = []
-    legs = []
-    for i in range(1, mu.length + 1):
-        if mu.parts[i - 1] < i:
-            break
-        arms.append(mu.parts[i - 1] - i)
-        legs.append(conj[i - 1] - i)
-    return FrobeniusCoords(tuple(arms), tuple(legs))
-
-
-def partition_from_frobenius(coords: FrobeniusCoords) -> Partition:
-    """Inverse of :func:`frobenius`."""
-    r = len(coords.arms)
-    rows = [coords.arms[i] + i + 1 for i in range(r)]
-    for i in range(r + 1, coords.legs[0] + 2):
-        row = sum(1 for j in range(1, r + 1) if coords.legs[j - 1] + j >= i)
-        if row:
-            rows.append(row)
-    return Partition(tuple(rows))
-
-
 def hook_product(mu: Partition) -> int:
     """Product of all hook lengths mu_i + mu^t_j - i - j + 1; 1 for the empty shape."""
     conj = conjugate(mu).parts
@@ -153,11 +94,6 @@ def hook_product(mu: Partition) -> int:
     return out
 
 
-def kappa(mu: Partition) -> int:
-    """The content sum sum_i mu_i * (mu_i - 2i + 1); always even."""
-    return sum(p * (p - 2 * i + 1) for i, p in enumerate(mu.parts, start=1))
-
-
 def aut_order(mu: Partition) -> int:
     """Order of the part-permutation group: product of multiplicity factorials."""
     out = 1
@@ -165,10 +101,3 @@ def aut_order(mu: Partition) -> int:
         out *= factorial(count)
     return out
 
-
-def z_lambda(mu: Partition) -> int:
-    """Centralizer order of the conjugacy class: prod m_j! * j^{m_j}."""
-    out = 1
-    for part, count in mu.multiplicities().items():
-        out *= factorial(count) * part**count
-    return out

@@ -10,18 +10,18 @@ from hurwitz.partitions import Partition, hook_product
 
 class TestMonotoneAffine:
     def test_origin_is_one(self):
-        assert monotone_affine(0, 0).value == FactoredRationalFunction.constant(1)
+        assert monotone_affine(0, 0) == FactoredRationalFunction.constant(1)
 
     def test_first_column(self):
         # (n, m) = (1, 0): -1/2 * 1/(1 + hbar)
-        weight = monotone_affine(1, 0).value
+        weight = monotone_affine(1, 0)
         assert weight == FactoredRationalFunction(
             Poly.constant(Fraction(-1, 2)), {-1: 1}
         )
 
     def test_first_row_d5(self):
         # (n, m) = (0, 4): 1/(5 * 4!) * prod_{j=1}^{4} 1/(1 - j*hbar)
-        weight = monotone_affine(0, 4).value
+        weight = monotone_affine(0, 4)
         assert weight == FactoredRationalFunction(
             Poly.constant(Fraction(1, 120)), {1: 1, 2: 1, 3: 1, 4: 1}
         )
@@ -29,7 +29,7 @@ class TestMonotoneAffine:
     def test_factor_keys_within_range(self):
         for n in range(0, 7):
             for m in range(0, 7):
-                keys = monotone_affine(n, m).value.denominator_factors
+                keys = monotone_affine(n, m).denominator_factors
                 assert all(-n <= k <= m and k != 0 for k in keys)
                 assert all(e == 1 for e in keys.values())
 
@@ -37,8 +37,8 @@ class TestMonotoneAffine:
         # the (n, m) and (m, n) weights swap under hbar -> -hbar, up to (-1)^{n+m}
         for n in range(0, 6):
             for m in range(0, 6):
-                flipped = monotone_affine(n, m).value.substitute_neg()
-                mirror = monotone_affine(m, n).value
+                flipped = monotone_affine(n, m).substitute_neg()
+                mirror = monotone_affine(m, n)
                 sign = -1 if (n + m) % 2 else 1
                 assert flipped.numerator == mirror.numerator.scale(sign)
                 assert flipped.denominator_factors == mirror.denominator_factors
@@ -50,26 +50,22 @@ class TestMonotoneAffine:
 
 class TestSimpleAffine:
     def test_origin(self):
-        weight = simple_affine(0, 0)
-        assert weight.exponent_k == 0
-        assert weight.coefficient == 1
+        assert simple_affine(0, 0) == (0, 1)
 
     def test_first_row(self):
-        weight = simple_affine(0, 1)
-        assert weight.exponent_k == 1
-        assert weight.coefficient == Fraction(1, 2)
+        assert simple_affine(0, 1) == (1, Fraction(1, 2))
 
     def test_top_corner_exponent(self):
         # (0, d-1): exponent d(d-1)/2 and coefficient 1/d!
         for d in range(2, 9):
-            weight = simple_affine(0, d - 1)
-            assert weight.exponent_k == d * (d - 1) // 2
-            assert weight.coefficient == Fraction(1, factorial(d))
+            k, coefficient = simple_affine(0, d - 1)
+            assert k == d * (d - 1) // 2
+            assert coefficient == Fraction(1, factorial(d))
 
     def test_exponent_antisymmetry(self):
         for n in range(0, 9):
             for m in range(0, 9):
-                assert simple_affine(n, m).exponent_k == -simple_affine(m, n).exponent_k
+                assert simple_affine(n, m)[0] == -simple_affine(m, n)[0]
 
 
 class TestCrossFamilyConsistency:
@@ -78,10 +74,10 @@ class TestCrossFamilyConsistency:
             for m in range(0, 9):
                 hook_shape = Partition((m + 1,) + (1,) * n)
                 expected = Fraction(1, hook_product(hook_shape))
-                assert abs(simple_affine(n, m).coefficient) == expected
+                assert abs(simple_affine(n, m)[1]) == expected
 
     def test_families_agree_at_hbar_zero(self):
         for n in range(0, 9):
             for m in range(0, 9):
-                frozen = monotone_affine(n, m).value.evaluate(0)
-                assert frozen == simple_affine(n, m).coefficient
+                frozen = monotone_affine(n, m).evaluate(0)
+                assert frozen == simple_affine(n, m)[1]

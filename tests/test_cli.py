@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hurwitz import closedform
+from hurwitz import closedform, oracle
 from hurwitz.cli import main
 from hurwitz.closedform import from_json_dict, to_json_dict
 from hurwitz.partitions import Partition, partitions_of
@@ -85,6 +86,28 @@ class TestEvalCommand:
         assert code == 0
         assert out == "25\n"
 
+    def test_value_beyond_int_str_digit_limit(self, capsys):
+        # about 7300 digits, past the default int-to-str limit of 4300
+        code, out, err = run(
+            capsys, "eval", "--kind", "simple", "--mu", "4,4,4", "--genus", "2000"
+        )
+        assert code == 0, err
+        value = closedform.evaluate(
+            closedform.simple_closed_form(Partition((4, 4, 4))), 2000
+        )
+        assert value.denominator == 1
+        if hasattr(sys, "get_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                expected = f"{value.numerator}\n"
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert len(expected) > limit > 0  # main restored the limit
+        else:
+            expected = f"{value.numerator}\n"
+        assert out == expected
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--kind", "simple", "--mu", "5", "--genus", "1",
@@ -144,6 +167,22 @@ class TestOracleCommand:
         )
         assert code == 1
         assert "too large" in err
+
+    def test_counts_once_per_request(self, capsys, monkeypatch):
+        calls = []
+        real = oracle.count_constellations
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "count_constellations", counted)
+        code, out, _ = run(
+            capsys, "oracle", "--kind", "monotone", "--mu", "3", "--genus", "1"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert "count=" in out
 
 
 class TestVerifyCommand:

@@ -7,7 +7,6 @@ from hurwitz.closedform import (
     asymptotics,
     evaluate,
     from_json_dict,
-    csv_rows,
     monotone_closed_form,
     monotone_leading_coefficient,
     simple_closed_form,
@@ -208,7 +207,3 @@ class TestSerialization:
         data["b_offset"] = 5
         with pytest.raises(ValueError):
             from_json_dict(data)
-
-    def test_csv_rows(self):
-        rows = csv_rows(simple_closed_form(part(5)))
-        assert rows == [("10", "1", "1"), ("5", "1", "-4")]

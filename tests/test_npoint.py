@@ -9,10 +9,6 @@ from hurwitz.exactarith import (
     taylor_coefficients,
 )
 from hurwitz.npoint import (
-    Affine,
-    CyclicOrder,
-    EdgeAssignment,
-    Principal,
     enumerate_cycles,
     enumerate_edge_assignments,
     monotone_generating,
@@ -24,6 +20,11 @@ from hurwitz.partitions import Partition, partitions_of
 
 def part(*parts):
     return Partition(tuple(parts))
+
+
+def affine_indices(terms):
+    """The 1-based subset of edges carrying affine terms."""
+    return {i for i, t in enumerate(terms, start=1) if t[0] == "A"}
 
 
 def even_pole_factors(simple_ks, double_ks=()):
@@ -39,24 +40,25 @@ def even_pole_factors(simple_ks, double_ks=()):
 
 class TestEnumerateCycles:
     def test_two(self):
-        assert enumerate_cycles(2) == [CyclicOrder((1, 2))]
+        assert enumerate_cycles(2) == [(1, 2)]
 
     def test_three(self):
-        assert enumerate_cycles(3) == [CyclicOrder((1, 2, 3)), CyclicOrder((1, 3, 2))]
+        assert enumerate_cycles(3) == [(1, 2, 3), (1, 3, 2)]
 
     def test_five_count_and_distinctness(self):
         cycles = enumerate_cycles(5)
         assert len(cycles) == 24
         # distinct as cyclic sequences: the visit tuple starting at 1 is canonical
-        assert len({c.visit for c in cycles}) == 24
+        assert len(set(cycles)) == 24
 
     def test_short_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cycles(1)
 
     def test_bad_visit_rejected(self):
-        with pytest.raises(ValueError):
-            CyclicOrder((2, 1))
+        for cycle in ((2, 1), (1, 1), (1, 3)):
+            with pytest.raises(ValueError, match="cycle must visit"):
+                enumerate_edge_assignments(cycle, part(1, 1))
 
 
 class TestEdgeAssignments:
@@ -64,12 +66,13 @@ class TestEdgeAssignments:
         # (1,1) admits exactly three balanced assignments; the full-affine one,
         # and the two mirror single-principal ones.  The total is pinned by
         # H_{0;(1,1)} = 1 against the oracle below.
-        assignments = enumerate_edge_assignments(CyclicOrder((1, 2)), part(1, 1))
+        assignments = enumerate_edge_assignments((1, 2), part(1, 1))
         expected = {
-            EdgeAssignment((Affine(0, 0), Affine(0, 0))),
-            EdgeAssignment((Principal(0), Affine(0, 1))),
-            EdgeAssignment((Affine(1, 0), Principal(0))),
+            (("A", 0, 0), ("A", 0, 0)),
+            (("P", 0), ("A", 0, 1)),
+            (("A", 1, 0), ("P", 0)),
         }
+        assert len(assignments) == 3
         assert set(assignments) == expected
         assert oracle_hurwitz(part(1, 1), 0, "simple") == 1
         form = simple_generating(part(1, 1))
@@ -79,37 +82,31 @@ class TestEdgeAssignments:
         # mu = (d-1, 1) with both edges affine and n1 = n2 = 0 forces
         # (m1, m2) = (d-2, 0)
         for d in range(3, 7):
-            assignments = enumerate_edge_assignments(
-                CyclicOrder((1, 2)), part(d - 1, 1)
-            )
+            assignments = enumerate_edge_assignments((1, 2), part(d - 1, 1))
             fully_affine = [
                 a
                 for a in assignments
-                if a.affine_indices == frozenset({1, 2})
-                and a.edges[0].n == 0
-                and a.edges[1].n == 0
+                if affine_indices(a) == {1, 2} and a[0][1] == 0 and a[1][1] == 0
             ]
             assert len(fully_affine) == 1
-            assert (fully_affine[0].edges[0].m, fully_affine[0].edges[1].m) == (d - 2, 0)
+            assert (fully_affine[0][0][2], fully_affine[0][1][2]) == (d - 2, 0)
 
     def test_affine_subset_never_empty(self):
         for mu in (part(2, 1), part(2, 2), part(3, 2, 1)):
             for order in enumerate_cycles(mu.length):
                 for a in enumerate_edge_assignments(order, mu):
-                    assert a.affine_indices
+                    assert affine_indices(a)
 
     def test_degree_balance(self):
         mu = part(3, 2, 1)
         for order in enumerate_cycles(3):
             for a in enumerate_edge_assignments(order, mu):
-                consumed = sum(
-                    e.n + e.m + 1 for e in a.edges if isinstance(e, Affine)
-                )
+                consumed = sum(e[1] + e[2] + 1 for e in a if e[0] == "A")
                 assert consumed == mu.size
 
     def test_single_part_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_edge_assignments(CyclicOrder((1, 2)), part(2))
+            enumerate_edge_assignments((1, 2), part(2))
 
 
 class TestMonotoneGenerating:

@@ -1,21 +1,15 @@
 from collections import Counter
-from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hurwitz.partitions import (
-    FrobeniusCoords,
     Partition,
     aut_order,
     conjugate,
-    frobenius,
     hook_product,
-    kappa,
-    partition_from_frobenius,
     partitions_of,
-    z_lambda,
 )
 
 
@@ -125,31 +119,6 @@ class TestConjugate:
         assert conjugate(mu).size == mu.size
 
 
-class TestFrobenius:
-    def test_example(self):
-        assert frobenius(part(3, 1)) == FrobeniusCoords((2,), (1,))
-
-    def test_hook_shape(self):
-        # (a+1, 1^b) has coordinates (a|b)
-        for a in range(0, 5):
-            for b in range(0, 5):
-                mu = Partition((a + 1,) + (1,) * b)
-                assert frobenius(mu) == FrobeniusCoords((a,), (b,))
-                assert mu.size == a + b + 1
-
-    def test_two_hooks(self):
-        assert frobenius(part(4, 4, 2, 1)) == FrobeniusCoords((3, 2), (3, 1))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no Frobenius coordinates"):
-            frobenius(Partition())
-
-    def test_round_trip_exhaustive(self):
-        for d in range(1, 10):
-            for mu in partitions_of(d):
-                assert partition_from_frobenius(frobenius(mu)) == mu
-
-
 class TestHookProduct:
     def test_single_row(self):
         assert hook_product(part(3)) == 6
@@ -172,26 +141,6 @@ class TestHookProduct:
                 assert hook_product(mu) == hook_product(conjugate(mu))
 
 
-class TestKappa:
-    def test_examples(self):
-        assert kappa(part(2)) == 2
-        assert kappa(part(1, 1)) == -2
-
-    def test_antisymmetry_example(self):
-        mu = part(4, 2, 1)
-        assert kappa(mu) == -kappa(conjugate(mu))
-
-    def test_antisymmetry_exhaustive(self):
-        for d in range(0, 10):
-            for mu in partitions_of(d):
-                assert kappa(mu) == -kappa(conjugate(mu))
-
-    def test_always_even(self):
-        for d in range(0, 10):
-            for mu in partitions_of(d):
-                assert kappa(mu) % 2 == 0
-
-
 class TestAutOrder:
     def test_distinct_parts(self):
         assert aut_order(part(3, 2, 1)) == 1
@@ -204,20 +153,3 @@ class TestAutOrder:
 
     def test_empty(self):
         assert aut_order(Partition()) == 1
-
-
-class TestZLambda:
-    def test_examples(self):
-        assert z_lambda(part(1, 1, 1)) == 6
-        assert z_lambda(part(3)) == 3
-
-    def test_class_equation(self):
-        # sum over partitions of d of 1/z equals 1 (conjugacy classes cover S_d)
-        for d in range(1, 9):
-            total = sum(Fraction(1, z_lambda(mu)) for mu in partitions_of(d))
-            assert total == 1
-
-    def test_class_sizes_integral(self):
-        for d in range(1, 8):
-            for mu in partitions_of(d):
-                assert factorial(d) % z_lambda(mu) == 0
