@@ -7,17 +7,24 @@ Two generating objects in the formal variable hbar carry every result:
   reduction and residue extraction never need polynomial factoring.
 * ``ExpSum`` -- a finite linear combination of exponentials e^{k*hbar}.
 
-All coefficients are ``fractions.Fraction``; nothing here ever rounds.
+Values at the API boundary (``Poly`` coefficients, partial-fraction and
+exponential-sum coefficients, Taylor coefficients) are
+``fractions.Fraction``.  The inner loops of the common-denominator sum,
+reduction, partial fractions and Taylor expansion work on lists of plain
+``int`` over one common integer denominator instead; nothing here ever
+rounds.  Every dict-like field is a read-only ``FrozenMap``, so the
+objects are hashable and cached results cannot be altered.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Mapping
+from math import factorial, gcd, lcm
 
 __all__ = [
     "Poly",
+    "FrozenMap",
     "FactoredRationalFunction",
     "PartialFraction",
     "ExpSum",
@@ -30,6 +37,30 @@ __all__ = [
     "format_rational",
     "parse_rational",
 ]
+
+
+class FrozenMap(Mapping):
+    """Read-only, hashable mapping; equal to any mapping with the same items."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items=()) -> None:
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"FrozenMap({self._items!r})"
 
 
 @dataclass(frozen=True)
@@ -50,11 +81,6 @@ class Poly:
     @classmethod
     def constant(cls, value) -> Poly:
         return cls((Fraction(value),))
-
-    @classmethod
-    def linear_factor(cls, k: int) -> Poly:
-        """The factor 1 - k*hbar."""
-        return cls((Fraction(1), Fraction(-k)))
 
     @property
     def degree(self) -> int:
@@ -77,12 +103,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] += c
         return Poly(tuple(out))
-
-    def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
         if self.is_zero() or other.is_zero():
@@ -114,27 +134,56 @@ class Poly:
         """The polynomial p(-hbar)."""
         return Poly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)))
 
-    def divide_linear(self, k: int) -> Poly:
-        """Exact quotient by (1 - k*hbar); raises if a remainder is left."""
-        if self.is_zero():
-            return self
-        quotient: list[Fraction] = []
-        carry = Fraction(0)
-        for j in range(len(self.coeffs) - 1):
-            carry = self.coeffs[j] + k * carry
-            quotient.append(carry)
-        if self.coeffs[-1] != -k * carry:
-            raise ArithmeticError("polynomial is not divisible by the linear factor")
-        return Poly(tuple(quotient))
+
+# Integer core: a polynomial is a list a of ints (index = power of hbar)
+# read together with a positive integer denominator den as a / den.
 
 
-def _expand_factors(factors: Mapping[int, int]) -> Poly:
-    """Expand prod_k (1 - k*hbar)^{e_k} into a dense polynomial."""
-    out = Poly.constant(1)
-    for k in sorted(factors):
-        lf = Poly.linear_factor(k)
-        for _ in range(factors[k]):
-            out = out * lf
+def _lift(poly: Poly) -> tuple[list[int], int]:
+    """Integer coefficients over the lcm of the coefficient denominators."""
+    den = lcm(*(c.denominator for c in poly.coeffs))
+    return [c.numerator * (den // c.denominator) for c in poly.coeffs], den
+
+
+def _to_poly(a: list[int], den: int) -> Poly:
+    return Poly(tuple(Fraction(c, den) for c in a))
+
+
+def _horner_at_inverse(a: list[int], k: int) -> int:
+    """sum_j a[j] k^(n-j) with n = len(a) - 1, i.e. k^n * a(1/k)."""
+    acc = 0
+    for c in a:
+        acc = acc * k + c
+    return acc
+
+
+def _mul_linear(a: list[int], k: int) -> None:
+    """Multiply a by (1 - k*hbar) in place; a gains one coefficient."""
+    a.append(0)
+    for j in range(len(a) - 1, 0, -1):
+        a[j] -= k * a[j - 1]
+
+
+def _divide_linear(a: list[int], k: int) -> list[int]:
+    """Exact quotient by (1 - k*hbar); raises if a remainder is left."""
+    if not a:
+        return a
+    quotient: list[int] = []
+    carry = 0
+    for c in a[:-1]:
+        carry = c + k * carry
+        quotient.append(carry)
+    if a[-1] != -k * carry:
+        raise ArithmeticError("polynomial is not divisible by the linear factor")
+    return quotient
+
+
+def _expand(factors: Mapping[int, int]) -> list[int]:
+    """prod_k (1 - k*hbar)^{e_k} as an integer coefficient list."""
+    out = [1]
+    for k, e in factors.items():
+        for _ in range(e):
+            _mul_linear(out, k)
     return out
 
 
@@ -147,7 +196,7 @@ class FactoredRationalFunction:
     """
 
     numerator: Poly = Poly()
-    denominator_factors: dict[int, int] = field(default_factory=dict)
+    denominator_factors: Mapping[int, int] = field(default_factory=FrozenMap)
 
     def __post_init__(self) -> None:
         num = self.numerator
@@ -164,18 +213,22 @@ class FactoredRationalFunction:
         if num.is_zero():
             factors = {}
         else:
+            a, den = _lift(num)
+            reduced = False
             for k in sorted(factors):
                 e = factors[k]
-                point = Fraction(1, k)
-                while e and num(point) == 0:
-                    num = num.divide_linear(k)
+                while e and _horner_at_inverse(a, k) == 0:
+                    a = _divide_linear(a, k)
                     e -= 1
+                    reduced = True
                 if e:
                     factors[k] = e
                 else:
                     del factors[k]
+            if reduced:
+                num = _to_poly(a, den)
         object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator_factors", dict(sorted(factors.items())))
+        object.__setattr__(self, "denominator_factors", FrozenMap(sorted(factors.items())))
 
     @classmethod
     def constant(cls, value) -> FactoredRationalFunction:
@@ -220,18 +273,26 @@ def common_denominator_sum(terms) -> FactoredRationalFunction:
     """Exact sum of numerator / prod_k (1 - k*hbar)^{e_k} terms.
 
     ``terms`` yields (numerator Poly, factor multiplicity map) pairs; every
-    numerator is lifted to the least common factored denominator.
+    numerator is lifted to integers over one common denominator, multiplied
+    by its deficit factors and added into one integer accumulator.
     """
-    terms = [(num, factors) for num, factors in terms if not num.is_zero()]
+    lifted = [(_lift(num), factors) for num, factors in terms if not num.is_zero()]
     common: dict[int, int] = {}
-    for _, factors in terms:
+    for _, factors in lifted:
         for k, e in factors.items():
             common[k] = max(common.get(k, 0), e)
-    total = Poly()
-    for num, factors in terms:
-        deficit = {k: e - factors.get(k, 0) for k, e in common.items()}
-        total = total + _expand_factors(deficit) * num
-    return FactoredRationalFunction(total, common)
+    den = lcm(*(d for (_, d), _ in lifted))
+    longest = max((len(a) for (a, _), _ in lifted), default=0)
+    total = [0] * (longest + sum(common.values()))
+    for (a, d), factors in lifted:
+        scale = den // d
+        poly = [c * scale for c in a]
+        for k, e in common.items():
+            for _ in range(e - factors.get(k, 0)):
+                _mul_linear(poly, k)
+        for j, c in enumerate(poly):
+            total[j] += c
+    return FactoredRationalFunction(_to_poly(total, den), common)
 
 
 def rf_mul(
@@ -249,7 +310,7 @@ class PartialFraction:
     """constant + sum over (k, i) of terms[(k, i)] / (1 - k*hbar)^i."""
 
     constant: Fraction = Fraction(0)
-    terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    terms: Mapping[tuple[int, int], Fraction] = field(default_factory=FrozenMap)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constant", Fraction(self.constant))
@@ -260,38 +321,47 @@ class PartialFraction:
                 raise ValueError(f"invalid partial-fraction index {(k, i)}")
             if c:
                 cleaned[(int(k), int(i))] = c
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", FrozenMap(cleaned))
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFraction:
     """Decompose f into a constant plus terms D(k,i) / (1 - k*hbar)^i.
 
     Coefficients come from successive residue extraction: the top-order
-    coefficient at a pole 1/k is the cofactor-evaluated numerator there;
-    subtracting it lowers the pole order by one, exactly.
+    coefficient at a pole 1/k is the numerator over the cofactor (the
+    remaining poles), both evaluated there; subtracting it lowers the pole
+    order by one, exactly.  The numerator is an integer list over a common
+    denominator, divided by their gcd after every step.
     """
     remaining = dict(f.denominator_factors)
     if f.numerator.degree > sum(remaining.values()):
         raise ValueError("polynomial part beyond constant unsupported")
-    num = f.numerator
+    a, den = _lift(f.numerator)
     terms: dict[tuple[int, int], Fraction] = {}
     for k in sorted(f.denominator_factors):
-        point = Fraction(1, k)
-        while remaining.get(k):
-            order = remaining[k]
-            cofactor = _expand_factors({j: e for j, e in remaining.items() if j != k})
-            coeff = num(point) / cofactor(point)
-            if coeff:
-                terms[(k, order)] = coeff
-                num = num - cofactor.scale(coeff)
-            num = num.divide_linear(k)
-            if order == 1:
-                del remaining[k]
-            else:
-                remaining[k] = order - 1
-    if num.degree > 0:
+        order = remaining.pop(k)
+        cofactor = _expand(remaining)
+        # cofactor(1/k) = at_cofactor / k^m and a(1/k) = at_num / k^(len(a)-1)
+        at_cofactor = _horner_at_inverse(cofactor, k)
+        m = len(cofactor) - 1
+        for i in range(order, 0, -1):
+            at_num = _horner_at_inverse(a, k)
+            if at_num:
+                coeff = Fraction(at_num, den * at_cofactor) * Fraction(k) ** (m - len(a) + 1)
+                terms[(k, i)] = coeff
+                p, q = coeff.numerator, coeff.denominator
+                a = [c * q for c in a] + [0] * (len(cofactor) - len(a))
+                pd = p * den
+                for j, c in enumerate(cofactor):
+                    a[j] -= pd * c
+                den *= q
+            a = _divide_linear(a, k)
+            g = gcd(den, *a)
+            a = [c // g for c in a]
+            den //= g
+    if any(a[1:]):
         raise ArithmeticError("leftover polynomial part beyond a constant")
-    return PartialFraction(num.coefficient(0), terms)
+    return PartialFraction(Fraction(a[0], den) if a else Fraction(0), terms)
 
 
 def recombine(pf: PartialFraction) -> FactoredRationalFunction:
@@ -306,21 +376,22 @@ def taylor_coefficients(f: FactoredRationalFunction, order: int) -> list[Fractio
     """Power-series coefficients of hbar^0 .. hbar^order at hbar = 0."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    series = [f.numerator.coefficient(j) for j in range(order + 1)]
-    for k, e in sorted(f.denominator_factors.items()):
+    a, den = _lift(f.numerator)
+    series = (a + [0] * (order + 1))[: order + 1]
+    for k, e in f.denominator_factors.items():
         for _ in range(e):
-            prev = Fraction(0)
+            prev = 0
             for j in range(order + 1):
                 prev = series[j] + k * prev
                 series[j] = prev
-    return series
+    return [Fraction(c, den) for c in series]
 
 
 @dataclass(frozen=True)
 class ExpSum:
     """Finite map k -> coefficient of e^{k*hbar}; zero coefficients pruned."""
 
-    terms: dict[int, Fraction] = field(default_factory=dict)
+    terms: Mapping[int, Fraction] = field(default_factory=FrozenMap)
 
     def __post_init__(self) -> None:
         cleaned: dict[int, Fraction] = {}
@@ -328,7 +399,7 @@ class ExpSum:
             c = Fraction(self.terms[k])
             if c:
                 cleaned[int(k)] = c
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", FrozenMap(cleaned))
 
     def coefficient(self, k: int) -> Fraction:
         return self.terms.get(k, Fraction(0))
@@ -365,4 +436,3 @@ def format_rational(value) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
-

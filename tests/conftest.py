@@ -1,0 +1,5 @@
+"""Shared pytest setup: property tests draw the same examples on every run."""
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hurwitz import closedform, npoint
 from hurwitz.closedform import (
     asymptotics,
     evaluate,
@@ -13,7 +14,14 @@ from hurwitz.closedform import (
     structure_checks,
     to_json_dict,
 )
-from hurwitz.exactarith import taylor_coefficients
+from hurwitz.exactarith import (
+    ExpSum,
+    FactoredRationalFunction,
+    PartialFraction,
+    Poly,
+    partial_fractions,
+    taylor_coefficients,
+)
 from hurwitz.npoint import monotone_generating, simple_generating
 from hurwitz.partitions import Partition, partitions_of
 
@@ -207,3 +215,29 @@ class TestSerialization:
         data["b_offset"] = 5
         with pytest.raises(ValueError):
             from_json_dict(data)
+
+
+class TestSelfChecks:
+    """Each internal check still raises when its input is corrupted."""
+
+    def test_recombination_mismatch_raises(self, monkeypatch):
+        def corrupted(f):
+            pf = partial_fractions(f)
+            return PartialFraction(pf.constant + 1, pf.terms)
+
+        monkeypatch.setattr(closedform, "partial_fractions", corrupted)
+        with pytest.raises(ArithmeticError, match="recombination mismatch"):
+            monotone_closed_form(part(3))
+
+    def test_pole_parity_violation_raises(self, monkeypatch):
+        lopsided = FactoredRationalFunction(Poly.constant(1), {2: 1})
+        monkeypatch.setattr(npoint, "monotone_generating", lambda mu: lopsided)
+        with pytest.raises(ArithmeticError, match="parity"):
+            monotone_closed_form(part(3))
+
+    def test_non_integer_simple_coefficient_raises(self, monkeypatch):
+        # d = 2, l = 1: odd parity, scale 2! * 2 = 4, so C(1) = 4/8
+        halves = ExpSum({1: F(1, 8), -1: F(-1, 8)})
+        monkeypatch.setattr(npoint, "simple_generating", lambda mu: halves)
+        with pytest.raises(ArithmeticError, match="non-integer"):
+            simple_closed_form(part(2))
