@@ -33,6 +33,9 @@ from .partitions import Partition, partitions_of
 __all__ = ["main", "entry"]
 
 ENGINE_MAX_DEGREE = 12
+# The cycle sum lists all (l-1)! cycles at once: 9! for l = 10 takes a few
+# seconds, 11! for l = 12 would take minutes and gigabytes.
+ENGINE_MAX_PARTS = 10
 
 _FORMATS = ("text", "json", "csv")
 _KINDS = ("simple", "monotone")
@@ -60,6 +63,10 @@ def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
     if mu.size > ENGINE_MAX_DEGREE and not force:
         raise ValueError(
             f"engine guard: |mu| = {mu.size} > {ENGINE_MAX_DEGREE} (use --force)"
+        )
+    if mu.length > ENGINE_MAX_PARTS and not force:
+        raise ValueError(
+            f"engine guard: l = {mu.length} > {ENGINE_MAX_PARTS} (use --force)"
         )
     if kind == "monotone":
         return closedform.monotone_closed_form(mu)
@@ -369,8 +376,12 @@ def main(argv=None) -> int:
         document = args.handler(args)
         rendered = _render(document, args.format)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(rendered)
+            except OSError as exc:
+                reason = exc.strerror or exc
+                raise ValueError(f"cannot write {args.output}: {reason}") from None
         else:
             sys.stdout.write(rendered)
         return document.code

@@ -16,13 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import npoint
-from .exactarith import (
-    Poly,
-    format_rational,
-    parse_rational,
-    partial_fractions,
-    recombine,
-)
+from .exactarith import format_rational, parse_rational, partial_fractions, recombine
 from .partitions import Partition
 
 __all__ = [
@@ -116,14 +110,6 @@ def _product_of_parts(mu: Partition) -> int:
     return out
 
 
-def _falling_basis(i: int) -> Poly:
-    """prod_{s=1}^{i-1} (x + s) / (i-1)! in the monomial basis."""
-    out = Poly.constant(1)
-    for s in range(1, i):
-        out = out * Poly((Fraction(s), Fraction(1)))
-    return out.scale(Fraction(1, factorial(i - 1)))
-
-
 def monotone_closed_form(mu: Partition) -> GenusClosedForm:
     """Closed form with mu_1...mu_l * vecH_{g;mu} = sum coeff * b^{i-1} * k^b."""
     generating = npoint.monotone_generating(mu)
@@ -142,11 +128,16 @@ def monotone_closed_form(mu: Partition) -> GenusClosedForm:
     terms: list[tuple[int, int, Fraction]] = []
     for k in sorted(by_pole, reverse=True):
         # Sum_i C(k,i) x^{i-1} = 2 Sum_i D(k,i) prod_{s=1}^{i-1}(x+s)/(i-1)!
-        # as polynomials in x = b; convert basis and read off monomials.
-        combined = Poly()
+        # as polynomials in x = b (index = power of x); expand each product
+        # one factor (x + s) at a time and read off monomials.
+        combined = [Fraction(0)] * max(by_pole[k])
         for i, coeff in by_pole[k].items():
-            combined = combined + _falling_basis(i).scale(2 * coeff)
-        for power, c in enumerate(combined.coeffs):
+            basis = [2 * coeff / factorial(i - 1)]
+            for s in range(1, i):
+                basis = [s * a + b for a, b in zip(basis + [0], [0] + basis)]
+            for power, c in enumerate(basis):
+                combined[power] += c
+        for power, c in enumerate(combined):
             if c:
                 terms.append((k, power + 1, c))
     return GenusClosedForm(

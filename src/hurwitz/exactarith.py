@@ -7,13 +7,14 @@ Two generating objects in the formal variable hbar carry every result:
   reduction and residue extraction never need polynomial factoring.
 * ``ExpSum`` -- a finite linear combination of exponentials e^{k*hbar}.
 
-Values at the API boundary (``Poly`` coefficients, partial-fraction and
-exponential-sum coefficients, Taylor coefficients) are
-``fractions.Fraction``.  The inner loops of the common-denominator sum,
-reduction, partial fractions and Taylor expansion work on lists of plain
-``int`` over one common integer denominator instead; nothing here ever
-rounds.  Every dict-like field is a read-only ``FrozenMap``, so the
-objects are hashable and cached results cannot be altered.
+A polynomial (``Poly``) is one tuple of ``int`` coefficients over one
+positive integer denominator, stored in lowest terms.  The common-
+denominator sum, reduction, partial fractions and Taylor expansion all
+work on those integers; ``fractions.Fraction`` appears only in scalar
+results (partial-fraction, exponential-sum and Taylor coefficients, and
+point values).  Nothing here ever rounds.  Every dict-like field is a
+read-only ``FrozenMap``, so the objects are hashable and cached results
+cannot be altered.
 """
 from __future__ import annotations
 
@@ -29,11 +30,9 @@ __all__ = [
     "PartialFraction",
     "ExpSum",
     "common_denominator_sum",
-    "rf_mul",
     "partial_fractions",
     "recombine",
     "taylor_coefficients",
-    "expsum_add",
     "format_rational",
     "parse_rational",
 ]
@@ -65,22 +64,33 @@ class FrozenMap(Mapping):
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial; coefficient index = power of hbar.
+    """Dense polynomial sum_j coeffs[j] * hbar^j / den with integer coeffs.
 
-    Trailing zero coefficients are trimmed, so the zero polynomial is ().
+    The constructor accepts any rationals and stores lowest terms: den > 0,
+    gcd(den, *coeffs) == 1 and no trailing zero coefficient, so equal
+    polynomials have equal fields.  The zero polynomial is ((), 1).
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[int, ...] = ()
+    den: int = 1
 
     def __post_init__(self) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
+        cs, den = list(self.coeffs), self.den
+        if den == 0:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        if not all(type(c) is int for c in (den, *cs)):
+            values = [Fraction(c) / Fraction(den) for c in cs]
+            den = lcm(*(v.denominator for v in values))
+            cs = [v.numerator * (den // v.denominator) for v in values]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        g = gcd(den, *cs) if den > 0 else -gcd(den, *cs)
+        object.__setattr__(self, "coeffs", tuple(c // g for c in cs))
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def constant(cls, value) -> Poly:
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @property
     def degree(self) -> int:
@@ -90,63 +100,20 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out))
-
-    def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        if len(other.coeffs) == 1:
-            return self.scale(other.coeffs[0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
-    def scale(self, value) -> Poly:
-        c = Fraction(value)
-        if c == 0:
-            return Poly()
-        return Poly(tuple(c * x for x in self.coeffs))
-
     def __call__(self, point) -> Fraction:
         x = Fraction(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def substitute_neg(self) -> Poly:
         """The polynomial p(-hbar)."""
-        return Poly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)))
+        return Poly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)), self.den)
 
 
-# Integer core: a polynomial is a list a of ints (index = power of hbar)
-# read together with a positive integer denominator den as a / den.
-
-
-def _lift(poly: Poly) -> tuple[list[int], int]:
-    """Integer coefficients over the lcm of the coefficient denominators."""
-    den = lcm(*(c.denominator for c in poly.coeffs))
-    return [c.numerator * (den // c.denominator) for c in poly.coeffs], den
-
-
-def _to_poly(a: list[int], den: int) -> Poly:
-    return Poly(tuple(Fraction(c, den) for c in a))
+# Integer core: a list a of ints (index = power of hbar), read together with
+# the positive denominator of the Poly it came from.
 
 
 def _horner_at_inverse(a: list[int], k: int) -> int:
@@ -213,20 +180,18 @@ class FactoredRationalFunction:
         if num.is_zero():
             factors = {}
         else:
-            a, den = _lift(num)
-            reduced = False
+            a = list(num.coeffs)
             for k in sorted(factors):
                 e = factors[k]
                 while e and _horner_at_inverse(a, k) == 0:
                     a = _divide_linear(a, k)
                     e -= 1
-                    reduced = True
                 if e:
                     factors[k] = e
                 else:
                     del factors[k]
-            if reduced:
-                num = _to_poly(a, den)
+            if len(a) < len(num.coeffs):
+                num = Poly(tuple(a), num.den)
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator_factors", FrozenMap(sorted(factors.items())))
 
@@ -265,44 +230,31 @@ class FactoredRationalFunction:
             (f.numerator, f.denominator_factors) for f in (self, other)
         )
 
-    def __mul__(self, other: FactoredRationalFunction) -> FactoredRationalFunction:
-        return rf_mul(self, other)
-
 
 def common_denominator_sum(terms) -> FactoredRationalFunction:
     """Exact sum of numerator / prod_k (1 - k*hbar)^{e_k} terms.
 
     ``terms`` yields (numerator Poly, factor multiplicity map) pairs; every
-    numerator is lifted to integers over one common denominator, multiplied
-    by its deficit factors and added into one integer accumulator.
+    numerator is brought to the lcm of their denominators, multiplied by
+    its deficit factors and added into one integer accumulator.
     """
-    lifted = [(_lift(num), factors) for num, factors in terms if not num.is_zero()]
+    terms = [(num, factors) for num, factors in terms if not num.is_zero()]
     common: dict[int, int] = {}
-    for _, factors in lifted:
+    for _, factors in terms:
         for k, e in factors.items():
             common[k] = max(common.get(k, 0), e)
-    den = lcm(*(d for (_, d), _ in lifted))
-    longest = max((len(a) for (a, _), _ in lifted), default=0)
+    den = lcm(*(num.den for num, _ in terms))
+    longest = max((len(num.coeffs) for num, _ in terms), default=0)
     total = [0] * (longest + sum(common.values()))
-    for (a, d), factors in lifted:
-        scale = den // d
-        poly = [c * scale for c in a]
+    for num, factors in terms:
+        scale = den // num.den
+        poly = [c * scale for c in num.coeffs]
         for k, e in common.items():
             for _ in range(e - factors.get(k, 0)):
                 _mul_linear(poly, k)
         for j, c in enumerate(poly):
             total[j] += c
-    return FactoredRationalFunction(_to_poly(total, den), common)
-
-
-def rf_mul(
-    a: FactoredRationalFunction, b: FactoredRationalFunction
-) -> FactoredRationalFunction:
-    """Exact product; factor multiplicities add, then the result reduces."""
-    factors = dict(a.denominator_factors)
-    for k, e in b.denominator_factors.items():
-        factors[k] = factors.get(k, 0) + e
-    return FactoredRationalFunction(a.numerator * b.numerator, factors)
+    return FactoredRationalFunction(Poly(tuple(total), den), common)
 
 
 @dataclass(frozen=True)
@@ -336,7 +288,7 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFraction:
     remaining = dict(f.denominator_factors)
     if f.numerator.degree > sum(remaining.values()):
         raise ValueError("polynomial part beyond constant unsupported")
-    a, den = _lift(f.numerator)
+    a, den = list(f.numerator.coeffs), f.numerator.den
     terms: dict[tuple[int, int], Fraction] = {}
     for k in sorted(f.denominator_factors):
         order = remaining.pop(k)
@@ -376,15 +328,15 @@ def taylor_coefficients(f: FactoredRationalFunction, order: int) -> list[Fractio
     """Power-series coefficients of hbar^0 .. hbar^order at hbar = 0."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    a, den = _lift(f.numerator)
-    series = (a + [0] * (order + 1))[: order + 1]
+    num = f.numerator
+    series = (list(num.coeffs) + [0] * (order + 1))[: order + 1]
     for k, e in f.denominator_factors.items():
         for _ in range(e):
             prev = 0
             for j in range(order + 1):
                 prev = series[j] + k * prev
                 series[j] = prev
-    return [Fraction(c, den) for c in series]
+    return [Fraction(c, num.den) for c in series]
 
 
 @dataclass(frozen=True)
@@ -416,14 +368,10 @@ class ExpSum:
         return total / factorial(power)
 
     def __add__(self, other: ExpSum) -> ExpSum:
-        return expsum_add(self, other)
-
-
-def expsum_add(a: ExpSum, b: ExpSum) -> ExpSum:
-    out = dict(a.terms)
-    for k, c in b.terms.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return ExpSum(out)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return ExpSum(out)
 
 
 def format_rational(value) -> str:

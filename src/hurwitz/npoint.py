@@ -204,9 +204,9 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
         coeff = total
         factors: Counter = Counter()
         for n, m in pairs:
-            weight = monotone_affine(n, m)
-            coeff *= weight.numerator.coefficient(0)
-            factors.update(weight.denominator_factors)
+            keys, c = monotone_affine(n, m)
+            coeff *= c
+            factors.update(keys)
         key = tuple(sorted(factors.items()))
         accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
     return common_denominator_sum(

@@ -275,8 +275,9 @@ def test_criterion_7_parity_and_support():
                 sign = -1 if (d + l) % 2 else 1
                 generating = monotone_generating(mu)
                 flipped = generating.substitute_neg()
+                numerator = generating.numerator
                 assert flipped == FactoredRationalFunction(
-                    generating.numerator.scale(sign),
+                    Poly(tuple(sign * c for c in numerator.coeffs), numerator.den),
                     dict(generating.denominator_factors),
                 ), mu
                 for k, order in generating.denominator_factors.items():

@@ -70,6 +70,17 @@ class TestClosedFormCommand:
         assert out == ""
         assert json.loads(target.read_text())["mu"] == [5]
 
+    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "form.txt"
+        code, out, err = run(
+            capsys, "closed-form", "--kind", "simple", "--mu", "3",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write ")
+        assert "Traceback" not in err
+
 
 class TestEvalCommand:
     def test_monotone_two_large_genus(self, capsys):
@@ -276,6 +287,29 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "engine guard" in err
+
+    @pytest.mark.parametrize("parts", [[1] * 11, [1] * 12, [2] + [1] * 10])
+    def test_engine_guard_on_parts(self, capsys, parts):
+        code, out, err = run(
+            capsys, "closed-form", "--kind", "simple", "--mu", ",".join(map(str, parts))
+        )
+        assert code == 1
+        assert out == ""
+        assert f"engine guard: l = {len(parts)} > 10 (use --force)" in err
+
+    def test_engine_guard_admits_ten_parts(self, capsys, monkeypatch):
+        # (1^10) stays accepted; the stub keeps the 9! cycle sum out of the test
+        seen = []
+        small = closedform.simple_closed_form(Partition((2,)))
+
+        def stub(mu):
+            seen.append(mu)
+            return small
+
+        monkeypatch.setattr(closedform, "simple_closed_form", stub)
+        code, _, _ = run(capsys, "closed-form", "--kind", "simple", "--mu", ",".join(["1"] * 10))
+        assert code == 0
+        assert seen == [Partition((1,) * 10)]
 
     def test_negative_genus(self, capsys):
         code, _, _ = run(

@@ -203,8 +203,9 @@ class TestEngineInvariants:
         for mu in self.PROFILES:
             f = monotone_generating(mu)
             sign = -1 if (mu.size + mu.length) % 2 else 1
+            signed = Poly(tuple(sign * c for c in f.numerator.coeffs), f.numerator.den)
             assert f.substitute_neg() == FactoredRationalFunction(
-                f.numerator.scale(sign), dict(f.denominator_factors)
+                signed, dict(f.denominator_factors)
             )
 
     def test_simple_parity(self):
