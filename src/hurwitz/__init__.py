@@ -24,7 +24,7 @@ from .npoint import (
     monotone_generating,
     simple_generating,
 )
-from .oracle import ConstellationQuery, count_constellations, is_transitive, oracle_hurwitz
+from .oracle import count_constellations, oracle_hurwitz
 from .partitions import Partition, conjugate, hook_product, partitions_of
 
 __version__ = "0.1.0"
@@ -53,9 +53,7 @@ __all__ = [
     "evaluate",
     "structure_checks",
     "asymptotics",
-    "ConstellationQuery",
     "count_constellations",
     "oracle_hurwitz",
-    "is_transitive",
     "__version__",
 ]

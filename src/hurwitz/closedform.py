@@ -65,9 +65,6 @@ class GenusClosedForm:
                 return c
         return Fraction(0)
 
-    def evaluate(self, g: int) -> Fraction:
-        return evaluate(self, g)
-
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -81,7 +78,6 @@ class StructureReport:
     index (d-1 choose 2) = 0 lies outside the stored range k >= 1).
     """
 
-    kind: str
     top_coefficient: Fraction
     expected_top: Fraction
     gap_all_zero: bool
@@ -207,7 +203,6 @@ def structure_checks(form: GenusClosedForm) -> StructureReport:
             second = None
             expected_second = None
         return StructureReport(
-            kind=form.kind,
             top_coefficient=form.coefficient(top_k),
             expected_top=Fraction(1),
             gap_all_zero=gap,
@@ -218,7 +213,6 @@ def structure_checks(form: GenusClosedForm) -> StructureReport:
         not (k in (d - 1, d - 2) and i >= 2) for k, i, _ in form.terms
     )
     return StructureReport(
-        kind=form.kind,
         top_coefficient=form.coefficient(d - 1),
         expected_top=monotone_leading_coefficient(d),
         gap_all_zero=gap,

@@ -5,17 +5,20 @@ mu, every t a transposition, product equal to the identity, the whole tuple
 acting transitively on {0..d-1}, and (in monotone mode) the larger moved
 elements weakly increasing along the t sequence.
 
-Permutations are tuples of images on 0-based points.  The search is a plain
-depth-first walk over transpositions with two prunes: the remaining
-product's distance to the identity (d minus its cycle count) must not
-exceed the remaining slots, and monotone mode only offers transpositions
-whose larger element is >= the last one used.  Nothing here shares
-machinery with the generating-function engine; that independence is the
-point.
+Permutations are tuples of images on 0-based points.  The search is one
+depth-first recursion ``walk(rho, labels, slots, start)`` over explicit
+state: ``rho`` is the product still to be cancelled, ``labels[i]`` is the
+least point of i's component under sigma_1's cycles and the transpositions
+chosen so far, ``slots`` counts the transpositions still to choose, and
+``start`` is the first transposition index on offer.  A leaf counts iff
+rho is the identity and every label is 0.  Two prunes: rho's distance to
+the identity (d minus its cycle count) must not exceed ``slots``, and
+monotone mode only offers transpositions whose larger element is >= the
+last one used.  Nothing here shares machinery with the
+generating-function engine; that independence is the point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -24,13 +27,11 @@ from math import factorial
 from .partitions import Partition, aut_order
 
 __all__ = [
-    "ConstellationQuery",
     "ORACLE_MAX_DEGREE",
     "ORACLE_MAX_BRANCH_POINTS",
     "count_constellations",
     "oracle_count",
     "oracle_hurwitz",
-    "is_transitive",
 ]
 
 ORACLE_MAX_DEGREE = 6
@@ -39,89 +40,36 @@ ORACLE_MAX_BRANCH_POINTS = 7
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConstellationQuery:
-    """Cycle type mu for sigma_1, b transposition slots, monotone flag."""
-
-    mu: Partition
-    b: int
-    monotone: bool = False
-
-
-def _cycle_type(perm: Perm) -> tuple[int, ...]:
+def _cycles(perm: Perm) -> list[list[int]]:
+    """The cycles of perm, each listed from its least point."""
     seen = [False] * len(perm)
-    lengths = []
+    cycles = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        size = 0
+        cycle = []
         i = start
         while not seen[i]:
             seen[i] = True
+            cycle.append(i)
             i = perm[i]
-            size += 1
-        lengths.append(size)
-    return tuple(sorted(lengths, reverse=True))
-
-
-_CYCLE_COUNTS: dict[Perm, int] = {}
-
-
-def _cycle_count(perm: Perm) -> int:
-    cached = _CYCLE_COUNTS.get(perm)
-    if cached is None:
-        cached = len(_cycle_type(perm))
-        _CYCLE_COUNTS[perm] = cached
-    return cached
-
-
-def _inverse(perm: Perm) -> Perm:
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)
+        if cycle:
+            cycles.append(cycle)
+    return cycles
 
 
 @lru_cache(maxsize=None)
 def _conjugacy_class(mu: Partition) -> tuple[Perm, ...]:
     """All permutations of {0..d-1} with cycle type mu."""
-    d = mu.size
-    target = mu.parts
-    return tuple(p for p in permutations(range(d)) if _cycle_type(p) == target)
+    return tuple(
+        p
+        for p in permutations(range(mu.size))
+        if tuple(sorted(map(len, _cycles(p)), reverse=True)) == mu.parts
+    )
 
 
-def is_transitive(perms, d: int) -> bool:
-    """True iff the union of all cycle edges connects {0..d-1}."""
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for i in range(d):
-            ri, rj = find(i), find(perm[i])
-            if ri != rj:
-                parent[ri] = rj
-    root = find(0) if d else 0
-    return all(find(i) == root for i in range(d))
-
-
-def _swap_values(rho: Perm, a: int, b: int) -> Perm:
-    """Left-compose the transposition (a b) with rho."""
-    out = list(rho)
-    ia = out.index(a)
-    ib = out.index(b)
-    out[ia] = b
-    out[ib] = a
-    return tuple(out)
-
-
-def count_constellations(query: ConstellationQuery, force: bool = False) -> int:
+def count_constellations(
+    mu: Partition, b: int, monotone: bool = False, force: bool = False
+) -> int:
     """Exact number of tuples satisfying the constellation conditions."""
-    mu, b = query.mu, query.b
     d = mu.size
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -129,49 +77,42 @@ def count_constellations(query: ConstellationQuery, force: bool = False) -> int:
         raise ValueError("number of transposition slots must be >= 0")
     if not force and (d > ORACLE_MAX_DEGREE or b > ORACLE_MAX_BRANCH_POINTS):
         raise ValueError("oracle search space too large")
-    transpositions = [(a, c) for c in range(1, d) for a in range(c)]
-    monotone = query.monotone
-    chosen: list[tuple[int, int]] = []
+    # (a, c, first index on offer after (a c)); monotone keeps c weakly rising
+    transpositions = [
+        (a, c, c * (c - 1) // 2 if monotone else 0) for c in range(1, d) for a in range(c)
+    ]
+    distances: dict[Perm, int] = {}
 
-    def connected(sigma1: Perm) -> bool:
-        # union-find over sigma1's cycle edges plus the chosen transpositions
-        parent = list(range(d))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for i in range(d):
-            union(i, sigma1[i])
-        for a, c in chosen:
-            union(a, c)
-        root = find(0)
-        return all(find(i) == root for i in range(d))
-
-    def walk(sigma1: Perm, rho: Perm, slots: int, start: int) -> int:
-        if d - _cycle_count(rho) > slots:
+    def walk(rho: Perm, labels: Perm, slots: int, start: int) -> int:
+        distance = distances.get(rho)
+        if distance is None:
+            distance = distances[rho] = d - len(_cycles(rho))
+        if distance > slots:
             return 0
         if slots == 0:
-            return 1 if connected(sigma1) else 0
+            return 0 if any(labels) else 1
         total = 0
-        for idx in range(start, len(transpositions)):
-            a, c = transpositions[idx]
-            chosen.append((a, c))
-            next_start = c * (c - 1) // 2 if monotone else 0
-            total += walk(sigma1, _swap_values(rho, a, c), slots - 1, next_start)
-            chosen.pop()
+        for a, c, next_start in transpositions[start:]:
+            # left-compose (a c) with rho: swap the values a and c
+            swapped = list(rho)
+            ia, ic = swapped.index(a), swapped.index(c)
+            swapped[ia], swapped[ic] = c, a
+            joined = labels
+            if labels[a] != labels[c]:
+                low, high = sorted((labels[a], labels[c]))
+                joined = tuple([low if x == high else x for x in labels])
+            total += walk(tuple(swapped), joined, slots - 1, next_start)
         return total
 
     total = 0
-    for sigma1 in _conjugacy_class(mu):
-        total += walk(sigma1, _inverse(sigma1), b, 0)
+    # rho starts at sigma_1's inverse, which has sigma_1's cycles; inversion
+    # permutes the class, so summing over rho in the class counts each sigma_1
+    for rho in _conjugacy_class(mu):
+        labels = [0] * d
+        for cycle in _cycles(rho):
+            for i in cycle:
+                labels[i] = cycle[0]
+        total += walk(rho, tuple(labels), b, 0)
     return total
 
 
@@ -189,9 +130,7 @@ def oracle_count(
     b = 2 * g - 2 + mu.size + mu.length
     if b < 0:
         raise ValueError("2g - 2 + d + l must be >= 0")
-    count = count_constellations(
-        ConstellationQuery(mu, b, kind == "monotone"), force=force
-    )
+    count = count_constellations(mu, b, kind == "monotone", force=force)
     return b, count, Fraction(aut_order(mu) * count, factorial(mu.size))
 
 

@@ -4,12 +4,7 @@ from itertools import product
 import pytest
 
 from hurwitz.closedform import evaluate, monotone_closed_form, simple_closed_form
-from hurwitz.oracle import (
-    ConstellationQuery,
-    count_constellations,
-    is_transitive,
-    oracle_hurwitz,
-)
+from hurwitz.oracle import count_constellations, oracle_hurwitz
 from hurwitz.partitions import Partition, aut_order, partitions_of
 
 
@@ -49,6 +44,21 @@ def brute_force_count(mu, b, monotone):
     return total
 
 
+def is_transitive(perms, d):
+    """True iff the cycle edges of perms connect {0..d-1} (graph search)."""
+    neighbours = [set() for _ in range(d)]
+    for perm in perms:
+        for i in range(d):
+            neighbours[i].add(perm[i])
+            neighbours[perm[i]].add(i)
+    reached, frontier = {0}, [0]
+    while frontier:
+        for j in neighbours[frontier.pop()] - reached:
+            reached.add(j)
+            frontier.append(j)
+    return len(reached) == d
+
+
 def _cycle_type(perm):
     seen = [False] * len(perm)
     out = []
@@ -82,56 +92,58 @@ class TestIsTransitive:
 class TestCountConstellations:
     def test_degree_two_single_slot(self):
         for monotone in (False, True):
-            assert count_constellations(ConstellationQuery(part(2), 1, monotone)) == 1
+            assert count_constellations(part(2), 1, monotone) == 1
 
     def test_three_cycle_two_slots(self):
-        assert count_constellations(ConstellationQuery(part(3), 2, False)) == 6
+        assert count_constellations(part(3), 2, False) == 6
 
     def test_three_cycle_two_slots_monotone(self):
         # per 3-cycle the factorizations are (B-sequences) (2,3), (3,3), (3,2);
         # two of the three are weakly increasing
-        assert count_constellations(ConstellationQuery(part(3), 2, True)) == 4
+        assert count_constellations(part(3), 2, True) == 4
 
     def test_identity_profile(self):
-        assert count_constellations(ConstellationQuery(part(1, 1), 2, False)) == 1
+        assert count_constellations(part(1, 1), 2, False) == 1
 
     def test_wrong_parity_counts_zero(self):
-        assert count_constellations(ConstellationQuery(part(3), 3, False)) == 0
-        assert count_constellations(ConstellationQuery(part(2, 1), 2, False)) == 0
+        assert count_constellations(part(3), 3, False) == 0
+        assert count_constellations(part(2, 1), 2, False) == 0
 
     def test_too_few_slots_counts_zero(self):
-        assert count_constellations(ConstellationQuery(part(4), 1, False)) == 0
+        assert count_constellations(part(4), 1, False) == 0
 
     def test_guard_limits(self):
         with pytest.raises(ValueError, match="oracle search space too large"):
-            count_constellations(ConstellationQuery(part(7), 1, False))
+            count_constellations(part(7), 1, False)
         with pytest.raises(ValueError, match="oracle search space too large"):
-            count_constellations(ConstellationQuery(part(2), 8, False))
+            count_constellations(part(2), 8, False)
         # force overrides; mu = (7) with zero slots cannot close, count 0
-        assert count_constellations(ConstellationQuery(part(7), 0, False), force=True) == 0
+        assert count_constellations(part(7), 0, False, force=True) == 0
 
     def test_matches_unpruned_enumeration(self):
         for d in range(1, 5):
             for mu in partitions_of(d):
                 for b in range(0, 4):
                     for monotone in (False, True):
-                        query = ConstellationQuery(mu, b, monotone)
-                        assert count_constellations(query) == brute_force_count(
-                            mu, b, monotone
-                        ), (mu, b, monotone)
+                        expected = brute_force_count(mu, b, monotone)
+                        assert count_constellations(mu, b, monotone) == expected, (
+                            mu,
+                            b,
+                            monotone,
+                        )
 
     def test_monotone_at_most_simple(self):
         cases = [(part(4), 3), (part(3, 1), 4), (part(2, 2), 4), (part(5), 4)]
         for mu, b in cases:
-            mono = count_constellations(ConstellationQuery(mu, b, True))
-            plain = count_constellations(ConstellationQuery(mu, b, False))
+            mono = count_constellations(mu, b, True)
+            plain = count_constellations(mu, b, False)
             assert mono <= plain
 
     def test_relabelling_invariance(self):
         # conjugating sigma_1 by a fixed permutation permutes the class, so a
         # recount after relabelling the class must agree
         mu = part(2, 2)
-        base = count_constellations(ConstellationQuery(mu, 4, False))
+        base = count_constellations(mu, 4, False)
         relabel = (3, 2, 1, 0)
         from hurwitz.oracle import _conjugacy_class
 
@@ -140,7 +152,7 @@ class TestCountConstellations:
             tuple(relabel[p[relabel[i]]] for i in range(4)) for p in members
         }
         assert conjugated == set(members)
-        assert count_constellations(ConstellationQuery(mu, 4, False)) == base
+        assert count_constellations(mu, 4, False) == base
 
 
 class TestOracleHurwitz:
@@ -160,7 +172,7 @@ class TestOracleHurwitz:
 
     def test_normalization_uses_aut_order(self):
         mu = part(2, 2)  # b = 2g - 2 + d + l = 4 at genus 0
-        count = count_constellations(ConstellationQuery(mu, 4, False))
+        count = count_constellations(mu, 4, False)
         assert oracle_hurwitz(mu, 0, "simple") == Fraction(aut_order(mu) * count, 24)
 
     def test_unknown_kind_rejected(self):
@@ -178,3 +190,9 @@ class TestOracleHurwitz:
                     while 2 * g - 2 + mu.size + mu.length <= 5:
                         assert oracle_hurwitz(mu, g, kind) == evaluate(build(mu), g)
                         g += 1
+
+    def test_engine_equivalence_at_seven_slots(self):
+        # b = 2g - 2 + d + l = 7 at genus 1, beyond criterion 4's b <= 6
+        for mu in (part(4, 1), part(3, 2)):
+            engine = evaluate(monotone_closed_form(mu), 1)
+            assert oracle_hurwitz(mu, 1, "monotone") == engine, mu
