@@ -16,11 +16,9 @@ from .exactarith import (
     PartialFraction,
     Poly,
     partial_fractions,
-    taylor_coefficients,
 )
 from .npoint import (
     enumerate_cycles,
-    enumerate_edge_assignments,
     monotone_generating,
     simple_generating,
 )
@@ -39,11 +37,9 @@ __all__ = [
     "PartialFraction",
     "ExpSum",
     "partial_fractions",
-    "taylor_coefficients",
     "monotone_affine",
     "simple_affine",
     "enumerate_cycles",
-    "enumerate_edge_assignments",
     "monotone_generating",
     "simple_generating",
     "GenusClosedForm",

@@ -36,6 +36,11 @@ ENGINE_MAX_DEGREE = 12
 # The cycle sum lists all (l-1)! cycles at once: 9! for l = 10 takes a few
 # seconds, 11! for l = 12 would take minutes and gigabytes.
 ENGINE_MAX_PARTS = 10
+# eval and table print values of about b*log10(k) digits, and the int-to-str
+# conversion is quadratic, so their cost follows the sum of b^2 over the
+# requested genera.  On (4,4,4): 1e10 is eval at genus 50000 (0.9 s) or
+# table up to genus 2000 (2.7 s); 2.1e10 is table up to genus 2500 (4.8 s).
+GENUS_MAX_B_SQUARES = 2 * 10**10
 
 _FORMATS = ("text", "json", "csv")
 _KINDS = ("simple", "monotone")
@@ -59,15 +64,32 @@ def _parse_mu(text: str) -> Partition:
         raise ValueError(f"cannot parse partition from {text!r}") from None
 
 
+def _engine_guard(size: int, length: int, force: bool) -> None:
+    if size > ENGINE_MAX_DEGREE and not force:
+        raise ValueError(
+            f"engine guard: |mu| = {size} > {ENGINE_MAX_DEGREE} (use --force)"
+        )
+    if length > ENGINE_MAX_PARTS and not force:
+        raise ValueError(
+            f"engine guard: l = {length} > {ENGINE_MAX_PARTS} (use --force)"
+        )
+
+
+def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
+    if force:
+        return
+    total = 0
+    for g in genera:
+        total += (2 * g + mu.size + mu.length - 2) ** 2
+        if total > GENUS_MAX_B_SQUARES:
+            raise ValueError(
+                f"genus guard: sum of b^2 over the genera > {GENUS_MAX_B_SQUARES}"
+                " (use --force)"
+            )
+
+
 def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
-    if mu.size > ENGINE_MAX_DEGREE and not force:
-        raise ValueError(
-            f"engine guard: |mu| = {mu.size} > {ENGINE_MAX_DEGREE} (use --force)"
-        )
-    if mu.length > ENGINE_MAX_PARTS and not force:
-        raise ValueError(
-            f"engine guard: l = {mu.length} > {ENGINE_MAX_PARTS} (use --force)"
-        )
+    _engine_guard(mu.size, mu.length, force)
     if kind == "monotone":
         return closedform.monotone_closed_form(mu)
     return closedform.simple_closed_form(mu)
@@ -145,6 +167,7 @@ def _cmd_closed_form(args) -> _Document:
 
 def _cmd_eval(args) -> _Document:
     mu = _parse_mu(args.mu)
+    _genus_guard(mu, range(args.genus, args.genus + 1), args.force)
     form = _closed_form(args.kind, mu, args.force)
     value = format_rational(closedform.evaluate(form, args.genus))
     payload = {
@@ -161,6 +184,7 @@ def _cmd_eval(args) -> _Document:
 
 def _cmd_table(args) -> _Document:
     mu = _parse_mu(args.mu)
+    _genus_guard(mu, range(args.genus_max + 1), args.force)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
     for g in range(args.genus_max + 1):
@@ -242,6 +266,8 @@ def _cmd_verify(args) -> _Document:
 
 
 def _cmd_checks(args) -> _Document:
+    # (1^d_max) has the sweep's largest |mu| and l: refuse before any work.
+    _engine_guard(args.d_max, args.d_max, args.force)
     rows = []
     for d in range(2, args.d_max + 1):
         for mu in partitions_of(d):

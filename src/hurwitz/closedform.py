@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import npoint
-from .exactarith import format_rational, parse_rational, partial_fractions, recombine
+from .exactarith import format_rational, partial_fractions, recombine
 from .partitions import Partition
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "asymptotics",
     "monotone_leading_coefficient",
     "to_json_dict",
-    "from_json_dict",
 ]
 
 KIND_MONOTONE = "monotone"
@@ -249,21 +248,3 @@ def to_json_dict(form: GenusClosedForm) -> dict:
             {"k": k, "i": i, "coeff": format_rational(c)} for k, i, c in form.terms
         ],
     }
-
-
-def from_json_dict(data: dict) -> GenusClosedForm:
-    form = GenusClosedForm(
-        kind=data["kind"],
-        mu=Partition(tuple(data["mu"])),
-        b_offset=int(data["b_offset"]),
-        normalization=parse_rational(data["normalization"]),
-        terms=tuple(
-            (int(t["k"]), int(t["i"]), parse_rational(t["coeff"]))
-            for t in data["terms"]
-        ),
-    )
-    expected_offset = form.mu.size + form.mu.length - 2
-    if form.b_offset != expected_offset:
-        raise ValueError("b_offset inconsistent with mu")
-    return form
-

@@ -9,10 +9,10 @@ Two generating objects in the formal variable hbar carry every result:
 
 A polynomial (``Poly``) is one tuple of ``int`` coefficients over one
 positive integer denominator, stored in lowest terms.  The common-
-denominator sum, reduction, partial fractions and Taylor expansion all
-work on those integers; ``fractions.Fraction`` appears only in scalar
-results (partial-fraction, exponential-sum and Taylor coefficients, and
-point values).  Nothing here ever rounds.  Every dict-like field is a
+denominator sum, reduction and partial fractions all work on those
+integers; ``fractions.Fraction`` appears only in scalar results
+(partial-fraction and exponential-sum coefficients).  Nothing here ever
+rounds.  Every dict-like field is a
 read-only ``FrozenMap``, so the objects are hashable and cached results
 cannot be altered.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 __all__ = [
     "Poly",
@@ -32,9 +32,7 @@ __all__ = [
     "common_denominator_sum",
     "partial_fractions",
     "recombine",
-    "taylor_coefficients",
     "format_rational",
-    "parse_rational",
 ]
 
 
@@ -99,17 +97,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, point) -> Fraction:
-        x = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc / self.den
-
-    def substitute_neg(self) -> Poly:
-        """The polynomial p(-hbar)."""
-        return Poly(tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs)), self.den)
 
 
 # Integer core: a list a of ints (index = power of hbar), read together with
@@ -195,40 +182,11 @@ class FactoredRationalFunction:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator_factors", FrozenMap(sorted(factors.items())))
 
-    @classmethod
-    def constant(cls, value) -> FactoredRationalFunction:
-        return cls(Poly.constant(value))
-
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def pole_order(self, k: int) -> int:
-        return self.denominator_factors.get(k, 0)
-
     def total_pole_order(self) -> int:
         return sum(self.denominator_factors.values())
-
-    def evaluate(self, point) -> Fraction:
-        x = Fraction(point)
-        den = Fraction(1)
-        for k, e in self.denominator_factors.items():
-            factor = 1 - k * x
-            if factor == 0:
-                raise ZeroDivisionError(f"evaluation at the pole hbar = 1/{k}")
-            den *= factor**e
-        return self.numerator(x) / den
-
-    def substitute_neg(self) -> FactoredRationalFunction:
-        """The rational function f(-hbar); factor keys flip sign."""
-        return FactoredRationalFunction(
-            self.numerator.substitute_neg(),
-            {-k: e for k, e in self.denominator_factors.items()},
-        )
-
-    def __add__(self, other: FactoredRationalFunction) -> FactoredRationalFunction:
-        return common_denominator_sum(
-            (f.numerator, f.denominator_factors) for f in (self, other)
-        )
 
 
 def common_denominator_sum(terms) -> FactoredRationalFunction:
@@ -324,21 +282,6 @@ def recombine(pf: PartialFraction) -> FactoredRationalFunction:
     )
 
 
-def taylor_coefficients(f: FactoredRationalFunction, order: int) -> list[Fraction]:
-    """Power-series coefficients of hbar^0 .. hbar^order at hbar = 0."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    num = f.numerator
-    series = (list(num.coeffs) + [0] * (order + 1))[: order + 1]
-    for k, e in f.denominator_factors.items():
-        for _ in range(e):
-            prev = 0
-            for j in range(order + 1):
-                prev = series[j] + k * prev
-                series[j] = prev
-    return [Fraction(c, num.den) for c in series]
-
-
 @dataclass(frozen=True)
 class ExpSum:
     """Finite map k -> coefficient of e^{k*hbar}; zero coefficients pruned."""
@@ -356,23 +299,6 @@ class ExpSum:
     def coefficient(self, k: int) -> Fraction:
         return self.terms.get(k, Fraction(0))
 
-    def substitute_neg(self) -> ExpSum:
-        """The sum with hbar -> -hbar, i.e. every key negated."""
-        return ExpSum({-k: c for k, c in self.terms.items()})
-
-    def hbar_coefficient(self, power: int) -> Fraction:
-        """Coefficient of hbar^power in the series expansion of the sum."""
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        total = sum((c * k**power for k, c in self.terms.items()), Fraction(0))
-        return total / factorial(power)
-
-    def __add__(self, other: ExpSum) -> ExpSum:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return ExpSum(out)
-
 
 def format_rational(value) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
@@ -380,7 +306,3 @@ def format_rational(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())

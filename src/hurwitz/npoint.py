@@ -14,6 +14,8 @@ joins the i-th and (i+1)-th vertices along the cycle and carries either
 Requiring every vertex's two incident exponents to sum to -mu_v - 1 pins
 all h and n indices once the affine m indices are chosen, so the search
 space is a set of bounded compositions rather than a formal series ring.
+The search keeps only what the weights read: the product of the principal
+signs and the multiset of affine (n, m) pairs.
 
 The single-part case l = 1 has no cycles: the one-point function is the
 plain diagonal sum over n + m = d - 1 of affine weights.  For l = 2 the
@@ -33,7 +35,6 @@ from .partitions import Partition
 
 __all__ = [
     "enumerate_cycles",
-    "enumerate_edge_assignments",
     "monotone_generating",
     "simple_generating",
 ]
@@ -46,84 +47,6 @@ def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
 
 
-def _edge_frame(cycle: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Tails and heads of the cycle's edges; edge i runs tails[i-1] -> heads[i-1].
-
-    The i-th edge joins the i-th and (i+1)-th iterates of 1 under the cycle,
-    so the frame starts at the successor of 1 and wraps back around to it.
-    """
-    tails = cycle[1:] + cycle[:1]
-    heads = tails[1:] + tails[:1]
-    return tails, heads
-
-
-def _search(
-    head_mu: tuple[int, ...], ascending: tuple[bool, ...], d: int
-) -> list[tuple[tuple, ...]]:
-    """All per-edge term tuples satisfying every vertex balance constraint.
-
-    Terms are ("P", h) or ("A", n, m), indexed like the edges.  The search
-    walks the cycle starting at the least affine edge (every valid
-    assignment has at least one), choosing m at affine edges; the balance
-    at the vertex shared with the previous edge forces everything else.
-    """
-    l = len(head_mu)
-    results: list[tuple[tuple, ...]] = []
-    terms: list = [None] * l
-
-    def extend(pos: int, first: int, r_prev: int, consumed: int) -> None:
-        q = (first + pos) % l
-        need_l = -head_mu[q - 1] - 1 - r_prev
-        if pos == l:
-            # close the cycle: the deferred n of the starting affine edge
-            n0 = -need_l - 1
-            if n0 < 0:
-                return
-            _, _, m0 = terms[first]
-            assert consumed + n0 == d, "vertex balances must consume degree d"
-            terms[first] = ("A", n0, m0)
-            results.append(tuple(terms))
-            return
-        if need_l <= -1:
-            forced = -need_l - 1
-            if ascending[q] and forced <= d - 1:
-                terms[q] = ("P", forced)
-                extend(pos + 1, first, forced, consumed)
-            if q > first:
-                for m_q in range(d - consumed - forced):
-                    terms[q] = ("A", forced, m_q)
-                    extend(pos + 1, first, -m_q - 1, consumed + forced + m_q + 1)
-        elif not ascending[q] and need_l <= d - 1:
-            terms[q] = ("P", need_l)
-            extend(pos + 1, first, -1 - need_l, consumed)
-        terms[q] = None
-
-    for first in range(l):
-        for m0 in range(d):
-            terms[first] = ("A", None, m0)
-            extend(1, first, -m0 - 1, m0 + 1)
-        terms[first] = None
-    return results
-
-
-def enumerate_edge_assignments(cycle: tuple[int, ...], mu: Partition) -> list[tuple]:
-    """The complete finite list of balanced per-edge term tuples for one cycle.
-
-    Terms are ("P", h) or ("A", n, m), edge i at index i-1.
-    """
-    cycle = tuple(cycle)
-    if cycle[:1] != (1,) or sorted(cycle) != list(range(1, len(cycle) + 1)):
-        raise ValueError("cycle must visit 1..l exactly once, starting at 1")
-    if mu.length < 2:
-        raise ValueError("edge assignments need a profile with l >= 2")
-    if len(cycle) != mu.length:
-        raise ValueError("cycle length must equal the number of parts")
-    tails, heads = _edge_frame(cycle)
-    head_mu = tuple(mu.parts[h - 1] for h in heads)
-    ascending = tuple(t < h for t, h in zip(tails, heads))
-    return _search(head_mu, ascending, mu.size)
-
-
 def _canonical_signature(
     cycle: tuple[int, ...], mu: Partition
 ) -> tuple[tuple[bool, int], ...]:
@@ -133,9 +56,8 @@ def _canonical_signature(
     the part sizes at edge heads, both of which rotate with the edge
     labelling, so cycles sharing this signature contribute identically.
     """
-    tails, heads = _edge_frame(cycle)
     seq = tuple(
-        (t < h, mu.parts[h - 1]) for t, h in zip(tails, heads)
+        (t < h, mu.parts[h - 1]) for t, h in zip(cycle, cycle[1:] + cycle[:1])
     )
     return min(seq[r:] + seq[:r] for r in range(len(seq)))
 
@@ -144,26 +66,47 @@ def _canonical_signature(
 def _signature_summaries(
     signature: tuple[tuple[bool, int], ...]
 ) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], int], ...]:
-    """Aggregate one signature's assignments to (sign, affine pairs) -> count.
+    """Count one signature's balanced assignments by (sign, affine pairs).
 
     The principal-edge signs collapse into a single +-1 and only the
     multiset of affine (n, m) pairs matters to either tau-function's
-    weight, so this is the kind-independent core of the cycle sum.
+    weight, so this is the kind-independent core of the cycle sum.  The
+    walk starts at the least affine edge (every balanced assignment has
+    one) with its m index m0 chosen; the balance at the vertex shared with
+    the previous edge forces everything else, and closing the cycle fixes
+    the starting edge's n index.
     """
     ascending = tuple(a for a, _ in signature)
     head_mu = tuple(m for _, m in signature)
+    d, l = sum(head_mu), len(signature)
     counts: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-    for terms in _search(head_mu, ascending, sum(head_mu)):
-        sign = 1
-        pairs = []
-        for q, t in enumerate(terms):
-            if t[0] == "P":
-                if not ascending[q]:
-                    sign = -sign
-            else:
-                pairs.append((t[1], t[2]))
-        key = (sign, tuple(sorted(pairs)))
-        counts[key] = counts.get(key, 0) + 1
+
+    def extend(pos, first, m0, r_prev, consumed, sign, pairs) -> None:
+        q = (first + pos) % l
+        need_l = -head_mu[q - 1] - 1 - r_prev
+        if pos == l:
+            # never negative: the m ranges below keep consumed <= d
+            n0 = -need_l - 1
+            assert n0 == d - consumed, "vertex balances must consume degree d"
+            key = (sign, tuple(sorted(pairs + ((n0, m0),))))
+            counts[key] = counts.get(key, 0) + 1
+            return
+        if need_l <= -1:
+            forced = -need_l - 1
+            if ascending[q] and forced <= d - 1:
+                extend(pos + 1, first, m0, forced, consumed, sign, pairs)
+            if q > first:
+                for m_q in range(d - consumed - forced):
+                    extend(
+                        pos + 1, first, m0, -m_q - 1, consumed + forced + m_q + 1,
+                        sign, pairs + ((forced, m_q),),
+                    )
+        elif not ascending[q] and need_l <= d - 1:
+            extend(pos + 1, first, m0, -1 - need_l, consumed, -sign, pairs)
+
+    for first in range(l):
+        for m0 in range(d):
+            extend(1, first, m0, -m0 - 1, m0 + 1, 1, ())
     return tuple(counts.items())
 
 

@@ -15,15 +15,12 @@ from hurwitz.closedform import (
     simple_closed_form,
     structure_checks,
 )
-from hurwitz.exactarith import (
-    ExpSum,
-    FactoredRationalFunction,
-    Poly,
-    taylor_coefficients,
-)
+from hurwitz.exactarith import ExpSum, FactoredRationalFunction, Poly
 from hurwitz.npoint import monotone_generating, simple_generating
 from hurwitz.oracle import oracle_hurwitz
 from hurwitz.partitions import Partition, partitions_of
+
+from dense_reference import as_pair, ref_flip, ref_taylor
 
 
 def part(*parts):
@@ -274,11 +271,10 @@ def test_criterion_7_parity_and_support():
                 l = mu.length
                 sign = -1 if (d + l) % 2 else 1
                 generating = monotone_generating(mu)
-                flipped = generating.substitute_neg()
-                numerator = generating.numerator
-                assert flipped == FactoredRationalFunction(
-                    Poly(tuple(sign * c for c in numerator.coeffs), numerator.den),
-                    dict(generating.denominator_factors),
+                numerator, factors = as_pair(generating)
+                assert ref_flip(generating) == (
+                    tuple(sign * c for c in numerator),
+                    factors,
                 ), mu
                 for k, order in generating.denominator_factors.items():
                     assert order <= min(l, (d - 1) // abs(k)), (mu, k)
@@ -299,14 +295,15 @@ def test_criterion_8_round_trip():
                 for p in mu.parts:
                     product *= p
                 monotone_form = monotone_closed_form(mu)
-                series = taylor_coefficients(monotone_generating(mu), offset + 12)
+                series = ref_taylor(*as_pair(monotone_generating(mu)), offset + 12)
                 simple_form = simple_closed_form(mu)
                 exponential = simple_generating(mu)
                 for g in range(0, 7):
                     b = 2 * g + offset
                     assert evaluate(monotone_form, g) == series[b] / product, (mu, g)
-                    assert evaluate(simple_form, g) == factorial(
-                        b
-                    ) * exponential.hbar_coefficient(b), (mu, g)
+                    # b! times the hbar^b coefficient of sum_k c_k e^{k hbar}
+                    assert evaluate(simple_form, g) == sum(
+                        c * k**b for k, c in exponential.terms.items()
+                    ), (mu, g)
 
     criterion(8, "round-trip coefficient extraction", 60.0, body)

@@ -6,7 +6,7 @@ import pytest
 
 from hurwitz import closedform, oracle
 from hurwitz.cli import main
-from hurwitz.closedform import from_json_dict, to_json_dict
+from hurwitz.closedform import to_json_dict
 from hurwitz.partitions import Partition, partitions_of
 
 
@@ -27,9 +27,7 @@ class TestClosedFormCommand:
         assert data["mu"] == [3, 3]
         assert len(data["terms"]) == 7
         assert {"k": 5, "i": 1, "coeff": "125/1728"} in data["terms"]
-        assert from_json_dict(data) == closedform.monotone_closed_form(
-            Partition((3, 3))
-        )
+        assert data == to_json_dict(closedform.monotone_closed_form(Partition((3, 3))))
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--kind", "simple", "--mu", "5")
@@ -311,6 +309,58 @@ class TestUsageErrors:
         assert code == 0
         assert seen == [Partition((1,) * 10)]
 
+    def test_checks_guard_fails_before_the_sweep(self, capsys, monkeypatch):
+        # (1^11) is in the sweep; the guard must refuse before any profile
+        seen = []
+        monkeypatch.setattr(closedform, "simple_closed_form", seen.append)
+        code, out, err = run(capsys, "checks", "--kind", "simple", "--d-max", "11")
+        assert code == 1
+        assert out == ""
+        assert err == "error: engine guard: l = 11 > 10 (use --force)\n"
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--genus", "1000000"),
+            ("eval", "--genus", "71000"),
+            ("table", "--genus-max", "2500"),
+            ("table", "--genus-max", str(10**12)),
+        ],
+    )
+    def test_genus_guard_refuses_at_once(self, capsys, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(closedform, "simple_closed_form", seen.append)
+        code, out, err = run(capsys, argv[0], "--kind", "simple", "--mu", "4,4,4", *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: genus guard: sum of b^2 over the genera > 20000000000 (use --force)\n"
+        )
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "argv", [("eval", "--genus", "70000"), ("table", "--genus-max", "2000")]
+    )
+    @pytest.mark.parametrize("mu", ["4,4,4", "3,1,1,1,1,1,1,1,1,1"])
+    def test_genus_guard_admits(self, capsys, monkeypatch, argv, mu):
+        # b = 2g + |mu| + l - 2 is largest at |mu| = 12, l = 10; the stubs
+        # keep the engine and the big-integer evaluation out of the test
+        small = closedform.simple_closed_form(Partition((2,)))
+        monkeypatch.setattr(closedform, "simple_closed_form", lambda _: small)
+        monkeypatch.setattr(closedform, "evaluate", lambda form, g: Fraction(g))
+        code, _, err = run(capsys, argv[0], "--kind", "simple", "--mu", mu, *argv[1:])
+        assert code == 0, err
+
+    def test_genus_guard_admits_force(self, capsys, monkeypatch):
+        monkeypatch.setattr(closedform, "evaluate", lambda form, g: Fraction(g))
+        code, out, _ = run(
+            capsys, "eval", "--kind", "simple", "--mu", "4,4,4", "--genus", "1000000",
+            "--force",
+        )
+        assert code == 0
+        assert out == "1000000\n"
+
     def test_negative_genus(self, capsys):
         code, _, _ = run(
             capsys, "eval", "--kind", "simple", "--mu", "3", "--genus", "-1"
@@ -319,13 +369,17 @@ class TestUsageErrors:
 
 
 class TestJsonRoundTripInvariant:
-    def test_round_trips_through_emitted_document(self):
+    def test_round_trips_through_emitted_document(self, capsys):
         for d in range(2, 9):
             for mu in partitions_of(d):
-                for build in (
-                    closedform.monotone_closed_form,
-                    closedform.simple_closed_form,
+                for kind, build in (
+                    ("monotone", closedform.monotone_closed_form),
+                    ("simple", closedform.simple_closed_form),
                 ):
-                    form = build(mu)
-                    emitted = json.dumps(to_json_dict(form))
-                    assert from_json_dict(json.loads(emitted)) == form
+                    mu_arg = ",".join(map(str, mu.parts))
+                    code, out, _ = run(
+                        capsys, "closed-form", "--kind", kind, "--mu", mu_arg,
+                        "--format", "json",
+                    )
+                    assert code == 0
+                    assert json.loads(out) == to_json_dict(build(mu))

@@ -15,13 +15,24 @@ from hurwitz.exactarith import (
     _divide_linear,
     common_denominator_sum,
     format_rational,
-    parse_rational,
     partial_fractions,
     recombine,
-    taylor_coefficients,
 )
 from hurwitz.npoint import monotone_generating
 from hurwitz.partitions import Partition
+
+from dense_reference import (
+    as_pair,
+    ref_divide_linear,
+    ref_flip,
+    ref_mul,
+    ref_partial_fractions,
+    ref_reduce,
+    ref_sum,
+    ref_taylor,
+    ref_trim,
+    ref_value,
+)
 
 
 def simple_pole(k, coeff=1):
@@ -38,21 +49,12 @@ class TestPoly:
         assert (p.coeffs, p.den) == ((1, 6), 8)
         assert Poly((6, -4), -2) == Poly((-3, 2))
         assert (Poly().coeffs, Poly().den) == ((), 1)
-        assert Poly((1, 2), 4)(1) == Fraction(3, 4)
         with pytest.raises(ZeroDivisionError):
             Poly((1,), 0)
 
     def test_degree(self):
         assert Poly().degree == -1
         assert Poly((1, 0, 3)).degree == 2
-
-    def test_eval(self):
-        p = Poly((1, 2, 3))
-        assert p(Fraction(1, 2)) == 1 + 1 + Fraction(3, 4)
-
-    def test_substitute_neg(self):
-        p = Poly((1, 2, 3, 4))
-        assert p.substitute_neg() == Poly((1, -2, 3, -4))
 
 
 @given(
@@ -104,26 +106,17 @@ class TestFactoredRationalFunction:
         assert f.denominator_factors == {}
 
     def test_add_identity(self):
-        f = simple_pole(1)
-        assert f + FactoredRationalFunction.constant(0) == f
+        total = common_denominator_sum([(Poly.constant(1), {1: 1}), (Poly(), {})])
+        assert total == simple_pole(1)
 
     def test_add_symmetric_pair(self):
-        total = simple_pole(1) + simple_pole(-1)
+        total = common_denominator_sum([(Poly.constant(1), {1: 1}), (Poly.constant(1), {-1: 1})])
         assert total == FactoredRationalFunction(Poly.constant(2), {1: 1, -1: 1})
 
     def test_add_with_cancellation(self):
         # 1/(1-2h) - 1/(1-2h)^2 = -2h/(1-2h)^2
-        a = simple_pole(2)
-        b = FactoredRationalFunction(Poly.constant(-1), {2: 2})
-        assert a + b == FactoredRationalFunction(Poly((0, -2)), {2: 2})
-
-    def test_evaluate_at_pole_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            simple_pole(2).evaluate(Fraction(1, 2))
-
-    def test_substitute_neg(self):
-        f = FactoredRationalFunction(Poly((0, 1)), {1: 1, -1: 1})
-        assert f.substitute_neg() == FactoredRationalFunction(Poly((0, -1)), {1: 1, -1: 1})
+        total = common_denominator_sum([(Poly.constant(1), {2: 1}), (Poly.constant(-1), {2: 2})])
+        assert total == FactoredRationalFunction(Poly((0, -2)), {2: 2})
 
 
 class TestPartialFractions:
@@ -152,12 +145,12 @@ class TestPartialFractions:
 
     def test_double_pole(self):
         # (5 - 3h)/(1-2h)^2 = (7/2)/(1-2h)^2 + (3/2)/(1-2h); expansion checked
-        # against Taylor coefficients to order 3 below
+        # against the reference Taylor coefficients to order 3 below
         f = FactoredRationalFunction(Poly((5, -3)), {2: 2})
         pf = partial_fractions(f)
         assert pf.constant == 0
         assert pf.terms == {(2, 2): Fraction(7, 2), (2, 1): Fraction(3, 2)}
-        series = taylor_coefficients(f, 3)
+        series = ref_taylor(*as_pair(f), 3)
         for j, coeff in enumerate(series):
             direct = Fraction(7, 2) * comb(j + 1, 1) * 2**j + Fraction(3, 2) * 2**j
             assert coeff == direct
@@ -180,31 +173,16 @@ class TestPartialFractions:
 
 class TestTaylor:
     def test_geometric(self):
-        assert taylor_coefficients(simple_pole(3), 3) == [1, 3, 9, 27]
+        assert ref_taylor(*as_pair(simple_pole(3)), 3) == [1, 3, 9, 27]
 
     def test_derivative_of_geometric(self):
         f = FactoredRationalFunction(Poly.constant(1), {1: 2})
-        assert taylor_coefficients(f, 3) == [1, 2, 3, 4]
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_coefficients(simple_pole(1), -1)
+        assert ref_taylor(*as_pair(f), 3) == [1, 2, 3, 4]
 
 
 class TestExpSum:
     def test_zero_pruning(self):
-        total = ExpSum({1: Fraction(1, 2)}) + ExpSum({1: Fraction(-1, 2)})
-        assert total == ExpSum()
-
-    def test_hbar_coefficient(self):
-        e = ExpSum({2: Fraction(1), -2: Fraction(1)})
-        assert e.hbar_coefficient(0) == 2
-        assert e.hbar_coefficient(1) == 0
-        assert e.hbar_coefficient(2) == 4  # (2^2 + 2^2)/2!
-
-    def test_substitute_neg(self):
-        e = ExpSum({3: Fraction(1), -1: Fraction(2)})
-        assert e.substitute_neg() == ExpSum({-3: Fraction(1), 1: Fraction(2)})
+        assert ExpSum({1: Fraction(1, 2) - Fraction(1, 2), 2: 0}) == ExpSum()
 
 
 def random_rf(rng):
@@ -232,7 +210,7 @@ class TestRandomCorpus:
         order = 12
         for f in self.corpus():
             pf = partial_fractions(f)
-            series = taylor_coefficients(f, order)
+            series = ref_taylor(*as_pair(f), order)
             for j in range(order + 1):
                 direct = Fraction(0) if j else pf.constant
                 for (k, i), coeff in pf.terms.items():
@@ -244,8 +222,11 @@ class TestRandomCorpus:
         fs = self.corpus()[:40]
         points = [Fraction(rng.randint(1, 30), 211) for _ in range(5)]
         for a, b in zip(fs, fs[1:]):
+            total = common_denominator_sum(
+                (f.numerator, f.denominator_factors) for f in (a, b)
+            )
             for x in points:
-                assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+                assert ref_value(total, x) == ref_value(a, x) + ref_value(b, x)
 
 
 @given(
@@ -255,11 +236,12 @@ class TestRandomCorpus:
     st.fractions(min_value=-5, max_value=5),
 )
 def test_add_commutes_and_evaluates(k1, k2, c1, c2):
-    a = FactoredRationalFunction(Poly.constant(c1), {k1: 1})
-    b = FactoredRationalFunction(Poly.constant(c2), {k2: 1})
-    assert a + b == b + a
+    a = (Poly.constant(c1), {k1: 1})
+    b = (Poly.constant(c2), {k2: 1})
+    total = common_denominator_sum([a, b])
+    assert total == common_denominator_sum([b, a])
     x = Fraction(1, 101)
-    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+    assert ref_value(total, x) == c1 / (1 - k1 * x) + c2 / (1 - k2 * x)
 
 
 class TestRationalStrings:
@@ -271,7 +253,7 @@ class TestRationalStrings:
 
     def test_round_trip(self):
         for text in ("0", "25", "-4", "1/2", "-1663/2160"):
-            assert format_rational(parse_rational(text)) == text
+            assert format_rational(Fraction(text)) == text
 
 
 class TestImmutability:
@@ -282,7 +264,9 @@ class TestImmutability:
         assert hash(partial_fractions(a)) == hash(partial_fractions(b))
         assert hash(ExpSum({1: 2, -1: 3})) == hash(ExpSum({-1: 3, 1: 2}))
         mu = Partition((3,))
-        assert hash(monotone_generating(mu)) == hash(monotone_generating(mu).substitute_neg())
+        f = monotone_generating(mu)
+        num, factors = ref_flip(f)
+        assert hash(f) == hash(FactoredRationalFunction(Poly(num), factors))
 
     def test_fields_reject_writes(self):
         f = FactoredRationalFunction(Poly((1, 3)), {1: 1, -2: 2})
@@ -306,122 +290,6 @@ class TestImmutability:
         assert monotone_generating(mu) is cached
         assert cached.denominator_factors == {-2: 1, -1: 1, 1: 1, 2: 1}
         assert monotone_closed_form(mu) == before
-
-
-# Dense-Fraction reference: the algorithms exactarith ran before its inner
-# loops moved to integer lists.  A polynomial is a trimmed tuple of
-# Fraction, index = power of hbar; a factor map is {k: multiplicity}.
-
-
-def ref_trim(coeffs):
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def ref_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for p in (a, b):
-        for i, c in enumerate(p):
-            out[i] += c
-    return ref_trim(out)
-
-
-def ref_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return ref_trim(out)
-
-
-def ref_eval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def ref_divide_linear(a, k):
-    if not a:
-        return a
-    quotient = []
-    carry = Fraction(0)
-    for c in a[:-1]:
-        carry = c + k * carry
-        quotient.append(carry)
-    if a[-1] != -k * carry:
-        raise ArithmeticError("polynomial is not divisible by the linear factor")
-    return ref_trim(quotient)
-
-
-def ref_expand(factors):
-    out = (Fraction(1),)
-    for k in sorted(factors):
-        for _ in range(factors[k]):
-            out = ref_mul(out, (Fraction(1), Fraction(-k)))
-    return out
-
-
-def ref_reduce(num, factors):
-    num = ref_trim(num)
-    if not num:
-        return (), {}
-    factors = dict(factors)
-    for k in sorted(factors):
-        while factors[k] and ref_eval(num, Fraction(1, k)) == 0:
-            num = ref_divide_linear(num, k)
-            factors[k] -= 1
-    return num, {k: e for k, e in sorted(factors.items()) if e}
-
-
-def ref_sum(terms):
-    terms = [(ref_trim(num), factors) for num, factors in terms]
-    terms = [(num, factors) for num, factors in terms if num]
-    common = {}
-    for _, factors in terms:
-        for k, e in factors.items():
-            common[k] = max(common.get(k, 0), e)
-    total = ()
-    for num, factors in terms:
-        deficit = {k: e - factors.get(k, 0) for k, e in common.items()}
-        total = ref_add(total, ref_mul(ref_expand(deficit), num))
-    return ref_reduce(total, common)
-
-
-def ref_partial_fractions(num, factors):
-    remaining = dict(factors)
-    terms = {}
-    for k in sorted(factors):
-        point = Fraction(1, k)
-        while remaining.get(k):
-            order = remaining[k]
-            cofactor = ref_expand({j: e for j, e in remaining.items() if j != k})
-            coeff = ref_eval(num, point) / ref_eval(cofactor, point)
-            if coeff:
-                terms[(k, order)] = coeff
-                num = ref_add(num, ref_mul(cofactor, (-coeff,)))
-            num = ref_divide_linear(num, k)
-            remaining[k] = order - 1
-    assert len(num) <= 1
-    return (num[0] if num else Fraction(0)), terms
-
-
-def ref_taylor(num, factors, order):
-    series = [num[j] if j < len(num) else Fraction(0) for j in range(order + 1)]
-    for k, e in sorted(factors.items()):
-        for _ in range(e):
-            prev = Fraction(0)
-            for j in range(order + 1):
-                prev = series[j] + k * prev
-                series[j] = prev
-    return series
-
-
-def as_pair(f):
-    num = f.numerator
-    return tuple(Fraction(c, num.den) for c in num.coeffs), dict(f.denominator_factors)
 
 
 pole_keys = st.integers(min_value=-6, max_value=6).filter(bool)
@@ -485,13 +353,6 @@ def test_partial_fractions_and_recombine_match_reference(full_degree, data):
         [((constant,), {})] + [((c,), {k: i}) for (k, i), c in terms.items()]
     )
     assert as_pair(recombine(pf)) == expected == as_pair(f)
-
-
-@given(rational_cases(), st.integers(min_value=0, max_value=8))
-def test_taylor_matches_reference(case, order):
-    num, factors = case
-    f = FactoredRationalFunction(Poly(num), factors)
-    assert taylor_coefficients(f, order) == ref_taylor(*as_pair(f), order)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=6), pole_keys, st.booleans())

@@ -2,29 +2,27 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.exactarith import (
-    ExpSum,
-    FactoredRationalFunction,
-    Poly,
-    taylor_coefficients,
-)
+from hurwitz.exactarith import ExpSum, FactoredRationalFunction, Poly
 from hurwitz.npoint import (
+    _canonical_signature,
+    _signature_summaries,
     enumerate_cycles,
-    enumerate_edge_assignments,
     monotone_generating,
     simple_generating,
 )
 from hurwitz.oracle import oracle_hurwitz
 from hurwitz.partitions import Partition, partitions_of
 
+from dense_reference import as_pair, ref_flip, ref_taylor
+
 
 def part(*parts):
     return Partition(tuple(parts))
 
 
-def affine_indices(terms):
-    """The 1-based subset of edges carrying affine terms."""
-    return {i for i, t in enumerate(terms, start=1) if t[0] == "A"}
+def summaries(cycle, mu):
+    """(sign, sorted affine pairs) -> number of balanced assignments of one cycle."""
+    return dict(_signature_summaries(_canonical_signature(cycle, mu)))
 
 
 def even_pole_factors(simple_ks, double_ks=()):
@@ -55,58 +53,43 @@ class TestEnumerateCycles:
         with pytest.raises(ValueError):
             enumerate_cycles(1)
 
-    def test_bad_visit_rejected(self):
-        for cycle in ((2, 1), (1, 1), (1, 3)):
-            with pytest.raises(ValueError, match="cycle must visit"):
-                enumerate_edge_assignments(cycle, part(1, 1))
 
-
-class TestEdgeAssignments:
-    def test_two_ones_complete_list(self):
-        # (1,1) admits exactly three balanced assignments; the full-affine one,
-        # and the two mirror single-principal ones.  The total is pinned by
-        # H_{0;(1,1)} = 1 against the oracle below.
-        assignments = enumerate_edge_assignments((1, 2), part(1, 1))
-        expected = {
-            (("A", 0, 0), ("A", 0, 0)),
-            (("P", 0), ("A", 0, 1)),
-            (("A", 1, 0), ("P", 0)),
+class TestSignatureSummaries:
+    def test_two_ones_complete_summary(self):
+        # (1,1) admits exactly three balanced assignments: the full-affine one,
+        # and two mirror single-principal ones; a principal edge running
+        # 2 -> 1 carries sign -1, one running 1 -> 2 sign +1.  The total is
+        # pinned by H_{0;(1,1)} = 1 against the oracle below.
+        assert summaries((1, 2), part(1, 1)) == {
+            (1, ((0, 0), (0, 0))): 1,
+            (-1, ((0, 1),)): 1,
+            (1, ((1, 0),)): 1,
         }
-        assert len(assignments) == 3
-        assert set(assignments) == expected
         assert oracle_hurwitz(part(1, 1), 0, "simple") == 1
-        form = simple_generating(part(1, 1))
-        assert 2 * form.hbar_coefficient(2) == 1  # b = 2 at genus 0
+        # b! times the hbar^b coefficient, at b = 2 (genus 0)
+        assert sum(c * k**2 for k, c in simple_generating(part(1, 1)).terms.items()) == 1
 
     def test_near_cycle_profile_forces_indices(self):
         # mu = (d-1, 1) with both edges affine and n1 = n2 = 0 forces
-        # (m1, m2) = (d-2, 0)
+        # {m1, m2} = {d-2, 0}
         for d in range(3, 7):
-            assignments = enumerate_edge_assignments((1, 2), part(d - 1, 1))
             fully_affine = [
-                a
-                for a in assignments
-                if affine_indices(a) == {1, 2} and a[0][1] == 0 and a[1][1] == 0
+                (key, count)
+                for key, count in summaries((1, 2), part(d - 1, 1)).items()
+                if len(key[1]) == 2 and all(n == 0 for n, _ in key[1])
             ]
-            assert len(fully_affine) == 1
-            assert (fully_affine[0][0][2], fully_affine[0][1][2]) == (d - 2, 0)
+            assert fully_affine == [((1, ((0, 0), (0, d - 2))), 1)]
 
-    def test_affine_subset_never_empty(self):
+    def test_affine_pairs_never_empty(self):
         for mu in (part(2, 1), part(2, 2), part(3, 2, 1)):
-            for order in enumerate_cycles(mu.length):
-                for a in enumerate_edge_assignments(order, mu):
-                    assert affine_indices(a)
+            for cycle in enumerate_cycles(mu.length):
+                assert all(pairs for _, pairs in summaries(cycle, mu))
 
     def test_degree_balance(self):
         mu = part(3, 2, 1)
-        for order in enumerate_cycles(3):
-            for a in enumerate_edge_assignments(order, mu):
-                consumed = sum(e[1] + e[2] + 1 for e in a if e[0] == "A")
-                assert consumed == mu.size
-
-    def test_single_part_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_edge_assignments((1, 2), part(2))
+        for cycle in enumerate_cycles(3):
+            for _, pairs in summaries(cycle, mu):
+                assert sum(n + m + 1 for n, m in pairs) == mu.size
 
 
 class TestMonotoneGenerating:
@@ -134,7 +117,7 @@ class TestMonotoneGenerating:
 
     def test_taylor_matches_oracle_for_two(self):
         # coefficient of hbar^{2g+1} is 2 * vecH_{g;(2)} = 1
-        series = taylor_coefficients(monotone_generating(part(2)), 7)
+        series = ref_taylor(*as_pair(monotone_generating(part(2))), 7)
         assert series[1::2] == [1, 1, 1, 1]
         assert series[0::2] == [0, 0, 0, 0]
 
@@ -179,11 +162,12 @@ class TestSimpleGenerating:
         )
         series = simple_generating(part(1, 1, 1))
         assert series == expected
-        assert series.hbar_coefficient(0) == 0
-        assert series.hbar_coefficient(2) == 0
-        assert 24 * series.hbar_coefficient(4) == oracle_hurwitz(
-            part(1, 1, 1), 0, "simple"
-        )
+        # b! times the hbar^b coefficient, for b = 0, 2 and 4 (genus 0)
+        assert [sum(c * k**b for k, c in series.terms.items()) for b in (0, 2, 4)] == [
+            0,
+            0,
+            oracle_hurwitz(part(1, 1, 1), 0, "simple"),
+        ]
 
     def test_low_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -203,17 +187,15 @@ class TestEngineInvariants:
         for mu in self.PROFILES:
             f = monotone_generating(mu)
             sign = -1 if (mu.size + mu.length) % 2 else 1
-            signed = Poly(tuple(sign * c for c in f.numerator.coeffs), f.numerator.den)
-            assert f.substitute_neg() == FactoredRationalFunction(
-                signed, dict(f.denominator_factors)
-            )
+            numerator, factors = as_pair(f)
+            assert ref_flip(f) == (tuple(sign * c for c in numerator), factors)
 
     def test_simple_parity(self):
         for mu in self.PROFILES:
             e = simple_generating(mu)
             sign = -1 if (mu.size + mu.length) % 2 else 1
-            flipped = {k: sign * c for k, c in e.substitute_neg().terms.items()}
-            assert ExpSum(flipped) == e
+            for k, c in e.terms.items():
+                assert e.coefficient(-k) == sign * c
 
     def test_pole_order_bounds(self):
         for mu in self.PROFILES:
