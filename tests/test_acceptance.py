@@ -229,6 +229,24 @@ def test_criterion_4_oracle_equivalence():
     criterion(4, "oracle equivalence", 120.0, body)
 
 
+def test_oracle_equivalence_to_degree_seven():
+    # criterion 4 widened to every profile with d <= 7 and b <= 8
+    triples = 0
+    for d in range(2, 8):
+        for mu in partitions_of(d):
+            for kind, build in (
+                ("simple", simple_closed_form),
+                ("monotone", monotone_closed_form),
+            ):
+                form = build(mu)
+                g = 0
+                while 2 * g - 2 + mu.size + mu.length <= 8:
+                    assert evaluate(form, g) == oracle_hurwitz(mu, g, kind), (mu, g, kind)
+                    triples += 1
+                    g += 1
+    assert triples == 132
+
+
 def test_criterion_5_simple_structure_sweep():
     def body():
         for d in range(2, 9):

@@ -172,10 +172,11 @@ class TestOracleCommand:
 
     def test_guard_exit_one(self, capsys):
         code, _, err = run(
-            capsys, "oracle", "--kind", "simple", "--mu", "7", "--genus", "0"
+            capsys, "oracle", "--kind", "simple", "--mu", "9", "--genus", "0"
         )
         assert code == 1
         assert "too large" in err
+        assert "d = 9 > 8 (use --force)" in err
 
     def test_counts_once_per_request(self, capsys, monkeypatch):
         calls = []

@@ -7,6 +7,8 @@ from hurwitz.closedform import evaluate, monotone_closed_form, simple_closed_for
 from hurwitz.oracle import count_constellations, oracle_hurwitz
 from hurwitz.partitions import Partition, aut_order, partitions_of
 
+from oracle_reference import member_counts
+
 
 def part(*parts):
     return Partition(tuple(parts))
@@ -113,12 +115,17 @@ class TestCountConstellations:
         assert count_constellations(part(4), 1, False) == 0
 
     def test_guard_limits(self):
-        with pytest.raises(ValueError, match="oracle search space too large"):
-            count_constellations(part(7), 1, False)
-        with pytest.raises(ValueError, match="oracle search space too large"):
-            count_constellations(part(2), 8, False)
-        # force overrides; mu = (7) with zero slots cannot close, count 0
-        assert count_constellations(part(7), 0, False, force=True) == 0
+        # the message names the limit and the override
+        with pytest.raises(
+            ValueError, match=r"oracle search space too large: d = 9 > 8 \(use --force\)"
+        ):
+            count_constellations(part(9), 1, False)
+        with pytest.raises(
+            ValueError, match=r"oracle search space too large: b = 13 > 12 \(use --force\)"
+        ):
+            count_constellations(part(2), 13, False)
+        # force overrides; mu = (9) with zero slots cannot close, count 0
+        assert count_constellations(part(9), 0, False, force=True) == 0
 
     def test_matches_unpruned_enumeration(self):
         for d in range(1, 5):
@@ -139,20 +146,21 @@ class TestCountConstellations:
             plain = count_constellations(mu, b, False)
             assert mono <= plain
 
-    def test_relabelling_invariance(self):
-        # conjugating sigma_1 by a fixed permutation permutes the class, so a
-        # recount after relabelling the class must agree
-        mu = part(2, 2)
-        base = count_constellations(mu, 4, False)
-        relabel = (3, 2, 1, 0)
-        from hurwitz.oracle import _conjugacy_class
-
-        members = _conjugacy_class(mu)
-        conjugated = {
-            tuple(relabel[p[relabel[i]]] for i in range(4)) for p in members
-        }
-        assert conjugated == set(members)
-        assert count_constellations(mu, 4, False) == base
+    def test_class_invariance(self):
+        # every member of the class starts a walk with the same count, so
+        # the representative times d!/z_mu is the whole-class sum
+        for d in range(1, 6):
+            for mu in partitions_of(d):
+                for b in range(8):
+                    for monotone in (False, True):
+                        counts = member_counts(mu, b, monotone)
+                        assert len(set(counts.values())) == 1, (mu, b, monotone)
+                        total = sum(counts.values())
+                        assert count_constellations(mu, b, monotone) == total, (
+                            mu,
+                            b,
+                            monotone,
+                        )
 
 
 class TestOracleHurwitz:
@@ -190,9 +198,3 @@ class TestOracleHurwitz:
                     while 2 * g - 2 + mu.size + mu.length <= 5:
                         assert oracle_hurwitz(mu, g, kind) == evaluate(build(mu), g)
                         g += 1
-
-    def test_engine_equivalence_at_seven_slots(self):
-        # b = 2g - 2 + d + l = 7 at genus 1, beyond criterion 4's b <= 6
-        for mu in (part(4, 1), part(3, 2)):
-            engine = evaluate(monotone_closed_form(mu), 1)
-            assert oracle_hurwitz(mu, 1, "monotone") == engine, mu
