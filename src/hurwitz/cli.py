@@ -33,13 +33,13 @@ from .partitions import Partition, partitions_of
 __all__ = ["main", "entry"]
 
 ENGINE_MAX_DEGREE = 12
-# The cycle sum lists all (l-1)! cycles at once: 9! for l = 10 takes a few
-# seconds, 11! for l = 12 would take minutes and gigabytes.
+# The cycle sum lists all (l-1)! cycles at once: 9! for l = 10 takes about
+# 2 s and 64 MB, 11! for l = 12 would take minutes and gigabytes.
 ENGINE_MAX_PARTS = 10
 # eval and table print values of about b*log10(k) digits, and the int-to-str
 # conversion is quadratic, so their cost follows the sum of b^2 over the
 # requested genera.  On (4,4,4): 1e10 is eval at genus 50000 (0.9 s) or
-# table up to genus 2000 (2.7 s); 2.1e10 is table up to genus 2500 (4.8 s).
+# table up to genus 2000 (2.6 s); 2.1e10 is table up to genus 2500 (4.6 s).
 GENUS_MAX_B_SQUARES = 2 * 10**10
 
 _FORMATS = ("text", "json", "csv")

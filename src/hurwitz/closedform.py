@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from . import npoint
 from .exactarith import format_rational, partial_fractions, recombine
@@ -98,13 +98,6 @@ class AsymptoticTerm:
     leading: bool
 
 
-def _product_of_parts(mu: Partition) -> int:
-    out = 1
-    for p in mu.parts:
-        out *= p
-    return out
-
-
 def monotone_closed_form(mu: Partition) -> GenusClosedForm:
     """Closed form with mu_1...mu_l * vecH_{g;mu} = sum coeff * b^{i-1} * k^b."""
     generating = npoint.monotone_generating(mu)
@@ -139,7 +132,7 @@ def monotone_closed_form(mu: Partition) -> GenusClosedForm:
         kind=KIND_MONOTONE,
         mu=mu,
         b_offset=d + l - 2,
-        normalization=Fraction(1, _product_of_parts(mu)),
+        normalization=Fraction(1, prod(mu.parts)),
         terms=tuple(terms),
     )
 
@@ -149,7 +142,7 @@ def simple_closed_form(mu: Partition) -> GenusClosedForm:
     exponential = npoint.simple_generating(mu)
     d, l = mu.size, mu.length
     sign = -1 if (d + l) % 2 else 1
-    scale = factorial(d) * _product_of_parts(mu)
+    scale = factorial(d) * prod(mu.parts)
     terms: list[tuple[int, int, Fraction]] = []
     for k, coeff in exponential.terms.items():
         if exponential.coefficient(-k) != sign * coeff:
@@ -174,10 +167,11 @@ def evaluate(form: GenusClosedForm, g: int) -> Fraction:
     if g < 0:
         raise ValueError("genus must be >= 0")
     b = 2 * g + form.b_offset
-    total = Fraction(0)
-    for k, i, coeff in form.terms:
-        total += coeff * b ** (i - 1) * k**b
-    return form.normalization * total
+    den = lcm(*(c.denominator for _, _, c in form.terms))
+    total = sum(
+        c.numerator * (den // c.denominator) * b ** (i - 1) * k**b for k, i, c in form.terms
+    )
+    return form.normalization * Fraction(total, den)
 
 
 def monotone_leading_coefficient(d: int) -> Fraction:

@@ -182,9 +182,6 @@ class FactoredRationalFunction:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator_factors", FrozenMap(sorted(factors.items())))
 
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
     def total_pole_order(self) -> int:
         return sum(self.denominator_factors.values())
 

@@ -1,6 +1,6 @@
 """Coefficient extraction from the connected n-point cycle-sum formula.
 
-For a profile mu with l >= 2 parts, the target coefficient of
+For a profile mu with l parts, the target coefficient of
 z_1^{-mu_1-1} ... z_l^{-mu_l-1} is assembled by summing over the (l-1)!
 full cycles on {1..l} and, per cycle, over per-edge term choices.  Edge i
 joins the i-th and (i+1)-th vertices along the cycle and carries either
@@ -15,12 +15,14 @@ Requiring every vertex's two incident exponents to sum to -mu_v - 1 pins
 all h and n indices once the affine m indices are chosen, so the search
 space is a set of bounded compositions rather than a formal series ring.
 The search keeps only what the weights read: the product of the principal
-signs and the multiset of affine (n, m) pairs.
+signs, summed per multiset of affine (n, m) pairs.
 
-The single-part case l = 1 has no cycles: the one-point function is the
-plain diagonal sum over n + m = d - 1 of affine weights.  For l = 2 the
-subtracted principal part 1/(z_1 - z_2)^2 expands with only nonnegative
-powers of z_2, so it never reaches the target coefficient.
+For l = 1 the one cycle (1,) is the loop edge 1 -> 1.  The walk starts at
+an affine edge and the loop has no later position, so it closes with one
+affine pair (n, m), n + m = d - 1: exactly the plain diagonal sum of the
+one-point function.  For l = 2 the subtracted principal part
+1/(z_1 - z_2)^2 expands with only nonnegative powers of z_2, so it never
+reaches the target coefficient.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
+from operator import lt
 
 from .affine import monotone_affine, simple_affine
 from .exactarith import ExpSum, FactoredRationalFunction, Poly, common_denominator_sum
@@ -42,44 +46,26 @@ __all__ = [
 
 def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
     """All (l-1)! full cycles on {1..l}, as visiting sequences starting at 1."""
-    if l < 2:
-        raise ValueError("cycles need l >= 2")
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
-
-
-def _canonical_signature(
-    cycle: tuple[int, ...], mu: Partition
-) -> tuple[tuple[bool, int], ...]:
-    """Rotation-canonical (direction, head part) sequence of a cycle.
-
-    Assignment weights depend on the cycle only through edge directions and
-    the part sizes at edge heads, both of which rotate with the edge
-    labelling, so cycles sharing this signature contribute identically.
-    """
-    seq = tuple(
-        (t < h, mu.parts[h - 1]) for t, h in zip(cycle, cycle[1:] + cycle[:1])
-    )
-    return min(seq[r:] + seq[:r] for r in range(len(seq)))
 
 
 @lru_cache(maxsize=None)
 def _signature_summaries(
-    signature: tuple[tuple[bool, int], ...]
-) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], int], ...]:
-    """Count one signature's balanced assignments by (sign, affine pairs).
+    ascending: tuple[bool, ...], head_mu: tuple[int, ...]
+) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """Signed count of one edge sequence's balanced assignments per pair multiset.
 
-    The principal-edge signs collapse into a single +-1 and only the
-    multiset of affine (n, m) pairs matters to either tau-function's
-    weight, so this is the kind-independent core of the cycle sum.  The
-    walk starts at the least affine edge (every balanced assignment has
-    one) with its m index m0 chosen; the balance at the vertex shared with
-    the previous edge forces everything else, and closing the cycle fixes
-    the starting edge's n index.
+    Edge i runs small -> large when ascending[i] and has the part head_mu[i]
+    at its head.  Only the multiset of affine (n, m) pairs matters to either
+    tau-function's weight, so each balanced assignment adds the product of
+    its principal signs to its multiset's count; this is the kind-independent
+    core of the cycle sum.  The walk starts at the least affine edge (every
+    balanced assignment has one) with its m index m0 chosen; the balance at
+    the vertex shared with the previous edge forces everything else, and
+    closing the cycle fixes the starting edge's n index.
     """
-    ascending = tuple(a for a, _ in signature)
-    head_mu = tuple(m for _, m in signature)
-    d, l = sum(head_mu), len(signature)
-    counts: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    d, l = sum(head_mu), len(head_mu)
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
 
     def extend(pos, first, m0, r_prev, consumed, sign, pairs) -> None:
         q = (first + pos) % l
@@ -88,8 +74,8 @@ def _signature_summaries(
             # never negative: the m ranges below keep consumed <= d
             n0 = -need_l - 1
             assert n0 == d - consumed, "vertex balances must consume degree d"
-            key = (sign, tuple(sorted(pairs + ((n0, m0),))))
-            counts[key] = counts.get(key, 0) + 1
+            key = tuple(sorted(pairs + ((n0, m0),)))
+            counts[key] = counts.get(key, 0) + sign
             return
         if need_l <= -1:
             forced = -need_l - 1
@@ -110,26 +96,28 @@ def _signature_summaries(
     return tuple(counts.items())
 
 
-def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], Fraction]:
+def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
     """Total signed multiplicity of each affine (n, m) pair multiset.
 
-    Sums over all (l-1)! cycles (grouped by signature) and all balanced
-    assignments, folding in the global (-1)^{l-1} and the principal signs.
-    A single part contributes each diagonal pair (n, d-1-n) once.
+    Sums over all (l-1)! cycles and all balanced assignments, folding in
+    the global (-1)^{l-1}.  Cycles are counted by their edge sequence read
+    from vertex 1; each distinct sequence is then rotated to its least
+    rotation, so cycles that differ by a rotation share one summary.
     """
-    d, l = mu.size, mu.length
-    if l == 1:
-        return {((n, d - 1 - n),): Fraction(1) for n in range(d)}
-    global_sign = -1 if l % 2 == 0 else 1
+    global_sign = -1 if mu.length % 2 == 0 else 1
+    raw: Counter = Counter()
+    for cycle in enumerate_cycles(mu.length):
+        heads = cycle[1:] + cycle[:1]
+        raw[tuple(map(lt, cycle, heads)), tuple(mu.parts[h - 1] for h in heads)] += 1
     sig_counts: Counter = Counter()
-    for cycle in enumerate_cycles(l):
-        sig_counts[_canonical_signature(cycle, mu)] += 1
-    out: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for signature in sorted(sig_counts):
-        n_cycles = sig_counts[signature]
-        for (sign, pairs), count in _signature_summaries(signature):
-            total = Fraction(global_sign * sign * n_cycles * count)
-            out[pairs] = out.get(pairs, Fraction(0)) + total
+    for (asc, parts), n_cycles in raw.items():
+        rotations = [(asc[r:] + asc[:r], parts[r:] + parts[:r]) for r in range(len(asc))]
+        sig_counts[min(rotations)] += n_cycles
+    out: dict[tuple[tuple[int, int], ...], int] = {}
+    for signature, n_cycles in sig_counts.items():
+        scale = global_sign * n_cycles
+        for pairs, count in _signature_summaries(*signature):
+            out[pairs] = out.get(pairs, 0) + scale * count
     return out
 
 
@@ -175,7 +163,5 @@ def simple_generating(mu: Partition) -> ExpSum:
             coeff *= c
             exponent += k
         accumulated[exponent] = accumulated.get(exponent, Fraction(0)) + coeff
-    scale = Fraction(1)
-    for p in mu.parts:
-        scale /= p
+    scale = Fraction(1, prod(mu.parts))
     return ExpSum({k: c * scale for k, c in accumulated.items()})

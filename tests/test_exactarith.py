@@ -102,7 +102,7 @@ class TestFactoredRationalFunction:
 
     def test_zero_numerator_clears_factors(self):
         f = FactoredRationalFunction(Poly(), {3: 2})
-        assert f.is_zero()
+        assert f.numerator.is_zero()
         assert f.denominator_factors == {}
 
     def test_add_identity(self):

@@ -1,11 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from hurwitz.exactarith import ExpSum, FactoredRationalFunction, Poly
 from hurwitz.npoint import (
-    _canonical_signature,
     _signature_summaries,
+    _weighted_pair_sums,
     enumerate_cycles,
     monotone_generating,
     simple_generating,
@@ -20,9 +21,15 @@ def part(*parts):
     return Partition(tuple(parts))
 
 
+def edge_sequence(cycle, mu):
+    """(ascending, head part) of each edge of a cycle, read from vertex 1."""
+    heads = cycle[1:] + cycle[:1]
+    return tuple(t < h for t, h in zip(cycle, heads)), tuple(mu.parts[h - 1] for h in heads)
+
+
 def summaries(cycle, mu):
-    """(sign, sorted affine pairs) -> number of balanced assignments of one cycle."""
-    return dict(_signature_summaries(_canonical_signature(cycle, mu)))
+    """Sorted affine pairs -> signed count of one cycle's balanced assignments."""
+    return dict(_signature_summaries(*edge_sequence(cycle, mu)))
 
 
 def even_pole_factors(simple_ks, double_ks=()):
@@ -49,9 +56,8 @@ class TestEnumerateCycles:
         # distinct as cyclic sequences: the visit tuple starting at 1 is canonical
         assert len(set(cycles)) == 24
 
-    def test_short_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_cycles(1)
+    def test_one_part_is_the_loop(self):
+        assert enumerate_cycles(1) == [(1,)]
 
 
 class TestSignatureSummaries:
@@ -61,9 +67,9 @@ class TestSignatureSummaries:
         # 2 -> 1 carries sign -1, one running 1 -> 2 sign +1.  The total is
         # pinned by H_{0;(1,1)} = 1 against the oracle below.
         assert summaries((1, 2), part(1, 1)) == {
-            (1, ((0, 0), (0, 0))): 1,
-            (-1, ((0, 1),)): 1,
-            (1, ((1, 0),)): 1,
+            ((0, 0), (0, 0)): 1,
+            ((0, 1),): -1,
+            ((1, 0),): 1,
         }
         assert oracle_hurwitz(part(1, 1), 0, "simple") == 1
         # b! times the hbar^b coefficient, at b = 2 (genus 0)
@@ -76,20 +82,53 @@ class TestSignatureSummaries:
             fully_affine = [
                 (key, count)
                 for key, count in summaries((1, 2), part(d - 1, 1)).items()
-                if len(key[1]) == 2 and all(n == 0 for n, _ in key[1])
+                if len(key) == 2 and all(n == 0 for n, _ in key)
             ]
-            assert fully_affine == [((1, ((0, 0), (0, d - 2))), 1)]
+            assert fully_affine == [(((0, 0), (0, d - 2)), 1)]
 
     def test_affine_pairs_never_empty(self):
         for mu in (part(2, 1), part(2, 2), part(3, 2, 1)):
             for cycle in enumerate_cycles(mu.length):
-                assert all(pairs for _, pairs in summaries(cycle, mu))
+                assert all(pairs for pairs in summaries(cycle, mu))
 
     def test_degree_balance(self):
         mu = part(3, 2, 1)
         for cycle in enumerate_cycles(3):
-            for _, pairs in summaries(cycle, mu):
+            for pairs in summaries(cycle, mu):
                 assert sum(n + m + 1 for n, m in pairs) == mu.size
+
+    def test_rotations_share_one_summary(self):
+        # _weighted_pair_sums counts each edge sequence under its least
+        # rotation, which is sound only if every rotation sums alike
+        checked = 0
+        for d in range(1, 8):
+            for mu in partitions_of(d):
+                for cycle in enumerate_cycles(mu.length):
+                    ascending, heads = edge_sequence(cycle, mu)
+                    expected = dict(_signature_summaries(ascending, heads))
+                    for r in range(mu.length):
+                        rotated = (ascending[r:] + ascending[:r], heads[r:] + heads[:r])
+                        assert dict(_signature_summaries(*rotated)) == expected
+                        checked += 1
+        assert checked == 7225
+
+
+class TestWeightedPairSums:
+    def test_one_part_is_the_diagonal_sum(self):
+        # the loop edge 1 -> 1 closes with one affine pair, n + m = d - 1
+        assert _weighted_pair_sums(part(4)) == {((n, 3 - n),): 1 for n in range(4)}
+
+    def test_pinned_for_degree_nine(self):
+        # sha256 over every partition with |mu| <= 9, zero totals included;
+        # values are rendered with str so that Fraction(3) and 3 read alike
+        lines = []
+        for d in range(1, 10):
+            for mu in partitions_of(d):
+                items = sorted(_weighted_pair_sums(mu).items())
+                lines.append(f"{mu.parts} {[(pairs, str(v)) for pairs, v in items]}")
+        assert len(lines) == 96
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "0ef9a7c174880e3ddab2f0691cbcabdc6825512875017311fdf4cd48f0496235"
 
 
 class TestMonotoneGenerating:

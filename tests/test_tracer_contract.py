@@ -31,6 +31,18 @@ CASES = [
         },
     ),
     (
+        # one part: the single loop cycle (1,) goes through the cycle sum
+        "closed-form --kind monotone --mu 5 --format json",
+        {
+            "affine.calls": 5,
+            "closedform.terms": 4,
+            "exactarith.pf_terms": 8,
+            "npoint.cycles": 1,
+            "npoint.numerator_degree": 4,
+            "npoint.pole_order": 8,
+        },
+    ),
+    (
         "closed-form --kind simple --mu 4,2,1 --format json",
         {"affine.calls": 105, "closedform.terms": 8, "npoint.cycles": 2},
     ),
