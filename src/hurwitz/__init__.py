@@ -11,7 +11,6 @@ from .closedform import (
     structure_checks,
 )
 from .exactarith import (
-    ExpSum,
     FactoredRationalFunction,
     PartialFraction,
     Poly,
@@ -35,7 +34,6 @@ __all__ = [
     "Poly",
     "FactoredRationalFunction",
     "PartialFraction",
-    "ExpSum",
     "partial_fractions",
     "monotone_affine",
     "simple_affine",

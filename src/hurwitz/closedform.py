@@ -144,8 +144,8 @@ def simple_closed_form(mu: Partition) -> GenusClosedForm:
     sign = -1 if (d + l) % 2 else 1
     scale = factorial(d) * prod(mu.parts)
     terms: list[tuple[int, int, Fraction]] = []
-    for k, coeff in exponential.terms.items():
-        if exponential.coefficient(-k) != sign * coeff:
+    for k, coeff in exponential.items():
+        if exponential.get(-k, 0) != sign * coeff:
             raise ArithmeticError("exponential data violates hbar -> -hbar parity")
         if k <= 0:
             continue

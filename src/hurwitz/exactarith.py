@@ -1,18 +1,19 @@
-"""Exact scalars and the two hbar-series representations used downstream.
+"""Exact scalars and the factored rational functions used downstream.
 
-Two generating objects in the formal variable hbar carry every result:
+The engine emits both generating objects in the formal variable hbar as
+scalar terms: a ``Fraction`` times a pole multiset or one exponential.
 
 * ``FactoredRationalFunction`` -- a polynomial numerator over a denominator
   kept as a multiset of factors (1 - k*hbar).  Poles stay visible, so
   reduction and residue extraction never need polynomial factoring.
-* ``ExpSum`` -- a finite linear combination of exponentials e^{k*hbar}.
+  ``common_denominator_sum`` folds (c, pole multiset) terms into one.
+* The exponential sum sum_k c_k e^{k*hbar} needs no arithmetic: it is a
+  read-only ``FrozenMap`` from k to its nonzero ``Fraction`` coefficient.
 
-A polynomial (``Poly``) is one tuple of ``int`` coefficients over one
-positive integer denominator, stored in lowest terms.  The common-
-denominator sum, reduction and partial fractions all work on those
-integers; ``fractions.Fraction`` appears only in scalar results
-(partial-fraction and exponential-sum coefficients).  Nothing here ever
-rounds.  Every dict-like field is a
+``Poly`` takes ints only: one tuple of coefficients over one positive
+denominator, in lowest terms.  The common-denominator sum, reduction and
+partial fractions all work on those integers; ``Fraction`` appears only
+in scalars.  Nothing here ever rounds.  Every dict-like field is a
 read-only ``FrozenMap``, so the objects are hashable and cached results
 cannot be altered.
 """
@@ -28,7 +29,6 @@ __all__ = [
     "FrozenMap",
     "FactoredRationalFunction",
     "PartialFraction",
-    "ExpSum",
     "common_denominator_sum",
     "partial_fractions",
     "recombine",
@@ -64,7 +64,7 @@ class FrozenMap(Mapping):
 class Poly:
     """Dense polynomial sum_j coeffs[j] * hbar^j / den with integer coeffs.
 
-    The constructor accepts any rationals and stores lowest terms: den > 0,
+    The constructor takes ints only and stores lowest terms: den > 0,
     gcd(den, *coeffs) == 1 and no trailing zero coefficient, so equal
     polynomials have equal fields.  The zero polynomial is ((), 1).
     """
@@ -77,18 +77,12 @@ class Poly:
         if den == 0:
             raise ZeroDivisionError("polynomial denominator is zero")
         if not all(type(c) is int for c in (den, *cs)):
-            values = [Fraction(c) / Fraction(den) for c in cs]
-            den = lcm(*(v.denominator for v in values))
-            cs = [v.numerator * (den // v.denominator) for v in values]
+            raise TypeError("Poly coefficients and denominator must be int")
         while cs and cs[-1] == 0:
             cs.pop()
         g = gcd(den, *cs) if den > 0 else -gcd(den, *cs)
         object.__setattr__(self, "coeffs", tuple(c // g for c in cs))
         object.__setattr__(self, "den", den // g)
-
-    @classmethod
-    def constant(cls, value) -> Poly:
-        return cls((value,))
 
     @property
     def degree(self) -> int:
@@ -187,28 +181,26 @@ class FactoredRationalFunction:
 
 
 def common_denominator_sum(terms) -> FactoredRationalFunction:
-    """Exact sum of numerator / prod_k (1 - k*hbar)^{e_k} terms.
+    """Exact sum of c / prod_k (1 - k*hbar)^{e_k} terms.
 
-    ``terms`` yields (numerator Poly, factor multiplicity map) pairs; every
-    numerator is brought to the lcm of their denominators, multiplied by
-    its deficit factors and added into one integer accumulator.
+    ``terms`` yields (rational c, factor multiplicity map) pairs; every c
+    is brought to the lcm of their denominators, multiplied by its deficit
+    factors and added into one integer accumulator.
     """
-    terms = [(num, factors) for num, factors in terms if not num.is_zero()]
+    terms = [(c, factors) for c, factors in terms if c]
     common: dict[int, int] = {}
     for _, factors in terms:
         for k, e in factors.items():
             common[k] = max(common.get(k, 0), e)
-    den = lcm(*(num.den for num, _ in terms))
-    longest = max((len(num.coeffs) for num, _ in terms), default=0)
-    total = [0] * (longest + sum(common.values()))
-    for num, factors in terms:
-        scale = den // num.den
-        poly = [c * scale for c in num.coeffs]
+    den = lcm(*(c.denominator for c, _ in terms))
+    total = [0] * (1 + sum(common.values()))
+    for c, factors in terms:
+        poly = [c.numerator * (den // c.denominator)]
         for k, e in common.items():
             for _ in range(e - factors.get(k, 0)):
                 _mul_linear(poly, k)
-        for j, c in enumerate(poly):
-            total[j] += c
+        for j, a in enumerate(poly):
+            total[j] += a
     return FactoredRationalFunction(Poly(tuple(total), den), common)
 
 
@@ -274,27 +266,8 @@ def partial_fractions(f: FactoredRationalFunction) -> PartialFraction:
 def recombine(pf: PartialFraction) -> FactoredRationalFunction:
     """Reassemble a partial-fraction decomposition over a common denominator."""
     return common_denominator_sum(
-        [(Poly.constant(pf.constant), {})]
-        + [(Poly.constant(c), {k: i}) for (k, i), c in pf.terms.items()]
+        [(pf.constant, {})] + [(c, {k: i}) for (k, i), c in pf.terms.items()]
     )
-
-
-@dataclass(frozen=True)
-class ExpSum:
-    """Finite map k -> coefficient of e^{k*hbar}; zero coefficients pruned."""
-
-    terms: Mapping[int, Fraction] = field(default_factory=FrozenMap)
-
-    def __post_init__(self) -> None:
-        cleaned: dict[int, Fraction] = {}
-        for k in sorted(self.terms):
-            c = Fraction(self.terms[k])
-            if c:
-                cleaned[int(k)] = c
-        object.__setattr__(self, "terms", FrozenMap(cleaned))
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.terms.get(k, Fraction(0))
 
 
 def format_rational(value) -> str:

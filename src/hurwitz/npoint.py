@@ -34,7 +34,7 @@ from math import prod
 from operator import lt
 
 from .affine import monotone_affine, simple_affine
-from .exactarith import ExpSum, FactoredRationalFunction, Poly, common_denominator_sum
+from .exactarith import FactoredRationalFunction, FrozenMap, common_denominator_sum
 from .partitions import Partition
 
 __all__ = [
@@ -140,15 +140,15 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
             factors.update(keys)
         key = tuple(sorted(factors.items()))
         accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
-    return common_denominator_sum(
-        (Poly.constant(c), dict(key)) for key, c in accumulated.items()
-    )
+    return common_denominator_sum((c, dict(key)) for key, c in accumulated.items())
 
 
 @lru_cache(maxsize=None)
-def simple_generating(mu: Partition) -> ExpSum:
+def simple_generating(mu: Partition) -> FrozenMap[int, Fraction]:
     """The exponential sum equal to sum_g hbar^b / b! * H_{g;mu}, b = 2g-2+d+l.
 
+    Returned as a read-only map k -> D(mu;k), the nonzero coefficient of
+    e^{k*hbar}, in increasing k (read-only because the result is cached).
     Support is contained in |k| <= d(d-1)/2 and obeys the parity
     D(mu;k) = (-1)^{d+l} D(mu;-k).
     """
@@ -164,4 +164,4 @@ def simple_generating(mu: Partition) -> ExpSum:
             exponent += k
         accumulated[exponent] = accumulated.get(exponent, Fraction(0)) + coeff
     scale = Fraction(1, prod(mu.parts))
-    return ExpSum({k: c * scale for k, c in accumulated.items()})
+    return FrozenMap((k, c * scale) for k, c in sorted(accumulated.items()) if c)

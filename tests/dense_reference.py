@@ -4,9 +4,13 @@ These are the algorithms exactarith ran before its inner loops moved to
 integer lists, kept here as an independent check of the integer core and
 as the tests' own evaluation, Taylor expansion and hbar -> -hbar flip.  A
 polynomial is a trimmed tuple of Fraction, index = power of hbar; a factor
-map is {k: multiplicity}.
+map is {k: multiplicity}.  ``int_poly`` carries such a tuple into the
+integer ``Poly`` that exactarith takes.
 """
 from fractions import Fraction
+from math import lcm
+
+from hurwitz.exactarith import Poly
 
 
 def ref_trim(coeffs):
@@ -113,6 +117,13 @@ def ref_taylor(num, factors, order):
                 prev = series[j] + k * prev
                 series[j] = prev
     return series
+
+
+def int_poly(values):
+    """The integer Poly equal to a tuple of rationals."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return Poly(tuple(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def as_pair(f):
