@@ -230,6 +230,8 @@ def _cmd_oracle(args) -> _Document:
 
 def _cmd_verify(args) -> _Document:
     mu = _parse_mu(args.mu)
+    # The last genus has the largest b: refuse before any engine or oracle work.
+    oracle.check_limits(mu.size, 2 * args.genus_max + mu.size + mu.length - 2, args.force)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
     for g in range(args.genus_max + 1):

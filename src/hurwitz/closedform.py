@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import index
 
 from . import npoint
 from .exactarith import format_rational, partial_fractions, recombine
@@ -51,7 +52,7 @@ class GenusClosedForm:
             raise ValueError(f"unknown kind {self.kind!r}")
         ordered = tuple(
             sorted(
-                ((int(k), int(i), Fraction(c)) for k, i, c in self.terms),
+                ((index(k), index(i), Fraction(c)) for k, i, c in self.terms),
                 key=lambda t: (-t[0], -t[1]),
             )
         )

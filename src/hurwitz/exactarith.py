@@ -8,25 +8,24 @@ scalar terms: a ``Fraction`` times a pole multiset or one exponential.
   reduction and residue extraction never need polynomial factoring.
   ``common_denominator_sum`` folds (c, pole multiset) terms into one.
 * The exponential sum sum_k c_k e^{k*hbar} needs no arithmetic: it is a
-  read-only ``FrozenMap`` from k to its nonzero ``Fraction`` coefficient.
+  plain dict from k to its nonzero ``Fraction`` coefficient.
 
 ``Poly`` takes ints only: one tuple of coefficients over one positive
 denominator, in lowest terms.  The common-denominator sum, reduction and
 partial fractions all work on those integers; ``Fraction`` appears only
-in scalars.  Nothing here ever rounds.  Every dict-like field is a
-read-only ``FrozenMap``, so the objects are hashable and cached results
-cannot be altered.
+in scalars.  Nothing here ever rounds.  Each object is built once per
+request and read once, so the map fields are plain dicts, in sorted key
+order; only ``Poly`` is frozen and hashable.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 __all__ = [
     "Poly",
-    "FrozenMap",
     "FactoredRationalFunction",
     "PartialFraction",
     "common_denominator_sum",
@@ -34,30 +33,6 @@ __all__ = [
     "recombine",
     "format_rational",
 ]
-
-
-class FrozenMap(Mapping):
-    """Read-only, hashable mapping; equal to any mapping with the same items."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items=()) -> None:
-        self._items = dict(items)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._items.items()))
-
-    def __repr__(self) -> str:
-        return f"FrozenMap({self._items!r})"
 
 
 @dataclass(frozen=True)
@@ -126,7 +101,7 @@ def _divide_linear(a: list[int], k: int) -> list[int]:
     return quotient
 
 
-def _expand(factors: Mapping[int, int]) -> list[int]:
+def _expand(factors: dict[int, int]) -> list[int]:
     """prod_k (1 - k*hbar)^{e_k} as an integer coefficient list."""
     out = [1]
     for k, e in factors.items():
@@ -135,7 +110,7 @@ def _expand(factors: Mapping[int, int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class FactoredRationalFunction:
     """numerator / prod_k (1 - k*hbar)^{e_k}, kept fully reduced.
 
@@ -144,14 +119,14 @@ class FactoredRationalFunction:
     """
 
     numerator: Poly = Poly()
-    denominator_factors: Mapping[int, int] = field(default_factory=FrozenMap)
+    denominator_factors: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         num = self.numerator
         factors: dict[int, int] = {}
         for k, e in self.denominator_factors.items():
-            k = int(k)
-            e = int(e)
+            k = index(k)
+            e = index(e)
             if k == 0:
                 raise ValueError("factor key k = 0 is not a valid pole")
             if e < 0:
@@ -173,8 +148,8 @@ class FactoredRationalFunction:
                     del factors[k]
             if len(a) < len(num.coeffs):
                 num = Poly(tuple(a), num.den)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator_factors", FrozenMap(sorted(factors.items())))
+        self.numerator = num
+        self.denominator_factors = dict(sorted(factors.items()))
 
     def total_pole_order(self) -> int:
         return sum(self.denominator_factors.values())
@@ -204,23 +179,23 @@ def common_denominator_sum(terms) -> FactoredRationalFunction:
     return FactoredRationalFunction(Poly(tuple(total), den), common)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PartialFraction:
     """constant + sum over (k, i) of terms[(k, i)] / (1 - k*hbar)^i."""
 
     constant: Fraction = Fraction(0)
-    terms: Mapping[tuple[int, int], Fraction] = field(default_factory=FrozenMap)
+    terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constant", Fraction(self.constant))
+        self.constant = Fraction(self.constant)
         cleaned: dict[tuple[int, int], Fraction] = {}
         for (k, i), c in sorted(self.terms.items()):
-            c = Fraction(c)
+            k, i, c = index(k), index(i), Fraction(c)
             if k == 0 or i < 1:
                 raise ValueError(f"invalid partial-fraction index {(k, i)}")
             if c:
-                cleaned[(int(k), int(i))] = c
-        object.__setattr__(self, "terms", FrozenMap(cleaned))
+                cleaned[(k, i)] = c
+        self.terms = cleaned
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFraction:

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import prod
 from operator import lt
 
 from .affine import monotone_affine, simple_affine
-from .exactarith import FactoredRationalFunction, FrozenMap, common_denominator_sum
+from .exactarith import FactoredRationalFunction, common_denominator_sum
 from .partitions import Partition
 
 __all__ = [
@@ -49,10 +48,9 @@ def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
 
 
-@lru_cache(maxsize=None)
 def _signature_summaries(
     ascending: tuple[bool, ...], head_mu: tuple[int, ...]
-) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+) -> dict[tuple[tuple[int, int], ...], int]:
     """Signed count of one edge sequence's balanced assignments per pair multiset.
 
     Edge i runs small -> large when ascending[i] and has the part head_mu[i]
@@ -62,7 +60,9 @@ def _signature_summaries(
     core of the cycle sum.  The walk starts at the least affine edge (every
     balanced assignment has one) with its m index m0 chosen; the balance at
     the vertex shared with the previous edge forces everything else, and
-    closing the cycle fixes the starting edge's n index.
+    closing the cycle fixes the starting edge's n index.  Returns a dict
+    pair multiset -> count.  Not cached: ``_weighted_pair_sums`` calls it
+    once per rotation class, and each request is one profile and one kind.
     """
     d, l = sum(head_mu), len(head_mu)
     counts: dict[tuple[tuple[int, int], ...], int] = {}
@@ -93,7 +93,7 @@ def _signature_summaries(
     for first in range(l):
         for m0 in range(d):
             extend(1, first, m0, -m0 - 1, m0 + 1, 1, ())
-    return tuple(counts.items())
+    return counts
 
 
 def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
@@ -116,12 +116,11 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]
     out: dict[tuple[tuple[int, int], ...], int] = {}
     for signature, n_cycles in sig_counts.items():
         scale = global_sign * n_cycles
-        for pairs, count in _signature_summaries(*signature):
+        for pairs, count in _signature_summaries(*signature).items():
             out[pairs] = out.get(pairs, 0) + scale * count
     return out
 
 
-@lru_cache(maxsize=None)
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     """The rational function mu_1...mu_l * sum_g hbar^{2g-2+d+l} vecH_{g;mu}.
 
@@ -143,12 +142,11 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     return common_denominator_sum((c, dict(key)) for key, c in accumulated.items())
 
 
-@lru_cache(maxsize=None)
-def simple_generating(mu: Partition) -> FrozenMap[int, Fraction]:
+def simple_generating(mu: Partition) -> dict[int, Fraction]:
     """The exponential sum equal to sum_g hbar^b / b! * H_{g;mu}, b = 2g-2+d+l.
 
-    Returned as a read-only map k -> D(mu;k), the nonzero coefficient of
-    e^{k*hbar}, in increasing k (read-only because the result is cached).
+    Returned as a dict k -> D(mu;k), the nonzero coefficient of
+    e^{k*hbar}, in increasing k.
     Support is contained in |k| <= d(d-1)/2 and obeys the parity
     D(mu;k) = (-1)^{d+l} D(mu;-k).
     """
@@ -164,4 +162,4 @@ def simple_generating(mu: Partition) -> FrozenMap[int, Fraction]:
             exponent += k
         accumulated[exponent] = accumulated.get(exponent, Fraction(0)) + coeff
     scale = Fraction(1, prod(mu.parts))
-    return FrozenMap((k, c * scale) for k, c in sorted(accumulated.items()) if c)
+    return {k: c * scale for k, c in sorted(accumulated.items()) if c}

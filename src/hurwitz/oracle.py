@@ -63,6 +63,7 @@ from .partitions import Partition, aut_order
 __all__ = [
     "ORACLE_MAX_DEGREE",
     "ORACLE_MAX_BRANCH_POINTS",
+    "check_limits",
     "count_constellations",
     "oracle_count",
     "oracle_hurwitz",
@@ -88,15 +89,8 @@ def _cycle_count(perm: Perm) -> int:
     return count
 
 
-def count_constellations(
-    mu: Partition, b: int, monotone: bool = False, force: bool = False
-) -> int:
-    """Exact number of tuples satisfying the constellation conditions."""
-    d = mu.size
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if b < 0:
-        raise ValueError("number of transposition slots must be >= 0")
+def check_limits(d: int, b: int, force: bool = False) -> None:
+    """Refuse a query of degree d with b slots beyond the guards, unless forced."""
     if not force and d > ORACLE_MAX_DEGREE:
         raise ValueError(
             f"oracle search space too large: d = {d} > {ORACLE_MAX_DEGREE} (use --force)"
@@ -106,6 +100,18 @@ def count_constellations(
             f"oracle search space too large: b = {b} > {ORACLE_MAX_BRANCH_POINTS}"
             " (use --force)"
         )
+
+
+def count_constellations(
+    mu: Partition, b: int, monotone: bool = False, force: bool = False
+) -> int:
+    """Exact number of tuples satisfying the constellation conditions."""
+    d = mu.size
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if b < 0:
+        raise ValueError("number of transposition slots must be >= 0")
+    check_limits(d, b, force)
     # (a, c, first index on offer after (a c)); monotone keeps c weakly rising
     transpositions = [
         (a, c, c * (c - 1) // 2 if monotone else 0) for c in range(1, d) for a in range(c)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import index
 
 __all__ = ["Partition", "partitions_of", "conjugate", "hook_product", "aut_order"]
 
@@ -19,7 +20,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(index, self.parts))
         object.__setattr__(self, "parts", parts)
         for i, p in enumerate(parts):
             if p < 1:
@@ -30,7 +31,7 @@ class Partition:
     @classmethod
     def canonical(cls, parts) -> Partition:
         """Build a partition from parts given in any order."""
-        return cls(tuple(sorted((int(p) for p in parts), reverse=True)))
+        return cls(tuple(sorted(parts, reverse=True)))
 
     @property
     def size(self) -> int:

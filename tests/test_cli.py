@@ -224,6 +224,25 @@ class TestVerifyCommand:
         assert code == 2
         assert "MISMATCH" in out
 
+    @pytest.mark.parametrize(
+        "kind, mu, genus_max, b",
+        [("simple", "2,2,1,1,1,1", "1", 14), ("monotone", "4,4", "3", 14)],
+    )
+    def test_oracle_guard_fails_before_any_query(
+        self, capsys, monkeypatch, kind, mu, genus_max, b
+    ):
+        # the guard is on the last genus's b; lower genera pass it alone
+        calls = []
+        monkeypatch.setattr(
+            oracle, "count_constellations", lambda *args, **kwargs: calls.append(args) or 0
+        )
+        code, out, err = run(
+            capsys, "verify", "--kind", kind, "--mu", mu, "--genus-max", genus_max
+        )
+        assert code == 1 and out == ""
+        assert f"error: oracle search space too large: b = {b} > 12 (use --force)" in err
+        assert calls == []
+
 
 class TestChecksCommand:
     def test_simple_sweep(self, capsys):

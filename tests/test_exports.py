@@ -1,11 +1,15 @@
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hurwitz
+from hurwitz.cli import main
 
 MODULES = [hurwitz] + [
     importlib.import_module(f"hurwitz.{info.name}")
@@ -63,3 +67,25 @@ def test_readme_quick_start_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "monotone_closed_form" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_cache_is_hit_within_a_request():
+    # Each CLI request is its own process, so a cache earns its keep only
+    # if one request hits it: clear them all before each request.
+    caches = {
+        f"{module.__name__}.{name}": obj
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert caches
+    hits = Counter()
+    for kind in ("simple", "monotone"):
+        for obj in caches.values():
+            obj.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["checks", "--kind", kind, "--d-max", "6"]) == 0
+        for name, obj in caches.items():
+            hits[name] += obj.cache_info().hits
+    unhit = sorted(name for name in caches if not hits[name])
+    assert not unhit, unhit
