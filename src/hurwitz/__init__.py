@@ -16,11 +16,7 @@ from .exactarith import (
     Poly,
     partial_fractions,
 )
-from .npoint import (
-    enumerate_cycles,
-    monotone_generating,
-    simple_generating,
-)
+from .npoint import monotone_generating, simple_generating
 from .oracle import count_constellations, oracle_hurwitz
 from .partitions import Partition, conjugate, hook_product, partitions_of
 
@@ -37,7 +33,6 @@ __all__ = [
     "partial_fractions",
     "monotone_affine",
     "simple_affine",
-    "enumerate_cycles",
     "monotone_generating",
     "simple_generating",
     "GenusClosedForm",

@@ -15,7 +15,9 @@ Requiring every vertex's two incident exponents to sum to -mu_v - 1 pins
 all h and n indices once the affine m indices are chosen, so the search
 space is a set of bounded compositions rather than a formal series ring.
 The search keeps only what the weights read: the product of the principal
-signs, summed per multiset of affine (n, m) pairs.
+signs, summed per multiset of affine (n, m) pairs.  The cycles are never
+listed: they are counted per edge sequence up to rotation, and each such
+class is searched once.
 
 For l = 1 the one cycle (1,) is the loop edge 1 -> 1.  The walk starts at
 an affine edge and the loop has no later position, so it closes with one
@@ -30,7 +32,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import prod
-from operator import lt
 
 from .affine import monotone_affine, simple_affine
 from .exactarith import FactoredRationalFunction, common_denominator_sum
@@ -44,7 +45,11 @@ __all__ = [
 
 
 def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
-    """All (l-1)! full cycles on {1..l}, as visiting sequences starting at 1."""
+    """All (l-1)! full cycles on {1..l}, as visiting sequences starting at 1.
+
+    The engine does not call it; it stays because perfbench/tracer.py wraps
+    it by name.  The tests check ``_cycle_classes`` against it.
+    """
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
 
 
@@ -96,25 +101,38 @@ def _signature_summaries(
     return counts
 
 
+def _cycle_classes(parts: tuple[int, ...]) -> Counter:
+    """Number of full cycles on {1..l} per edge sequence, up to rotation.
+
+    Keys are least rotations of the (ascending, head parts) pair that
+    ``_signature_summaries`` takes.  Each cycle on labels {x..l} arises once
+    from a cycle on {x+1..l} by putting x on one edge t -> h, which becomes
+    t -> x (descending, head mu_x) and x -> h (ascending, head mu_h); so the
+    labels l-1, ..., 1 go in at every position of each class, in turn.
+    """
+    classes = Counter({((False,), parts[-1:]): 1})
+    for part in reversed(parts[:-1]):
+        grown: Counter = Counter()
+        for (asc, heads), n_cycles in classes.items():
+            for j in range(len(asc)):
+                a = asc[:j] + (False, True) + asc[j + 1:]
+                h = heads[:j] + (part,) + heads[j:]
+                grown[min((a[r:] + a[:r], h[r:] + h[:r]) for r in range(len(a)))] += n_cycles
+        classes = grown
+    return classes
+
+
 def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
     """Total signed multiplicity of each affine (n, m) pair multiset.
 
     Sums over all (l-1)! cycles and all balanced assignments, folding in
-    the global (-1)^{l-1}.  Cycles are counted by their edge sequence read
-    from vertex 1; each distinct sequence is then rotated to its least
-    rotation, so cycles that differ by a rotation share one summary.
+    the global (-1)^{l-1}.  Cycles that share an edge sequence up to
+    rotation share one summary, so each class from ``_cycle_classes`` is
+    summarized once and scaled by its number of cycles.
     """
     global_sign = -1 if mu.length % 2 == 0 else 1
-    raw: Counter = Counter()
-    for cycle in enumerate_cycles(mu.length):
-        heads = cycle[1:] + cycle[:1]
-        raw[tuple(map(lt, cycle, heads)), tuple(mu.parts[h - 1] for h in heads)] += 1
-    sig_counts: Counter = Counter()
-    for (asc, parts), n_cycles in raw.items():
-        rotations = [(asc[r:] + asc[:r], parts[r:] + parts[:r]) for r in range(len(asc))]
-        sig_counts[min(rotations)] += n_cycles
     out: dict[tuple[tuple[int, int], ...], int] = {}
-    for signature, n_cycles in sig_counts.items():
+    for signature, n_cycles in _cycle_classes(mu.parts).items():
         scale = global_sign * n_cycles
         for pairs, count in _signature_summaries(*signature).items():
             out[pairs] = out.get(pairs, 0) + scale * count

@@ -5,12 +5,16 @@ integer lists, kept here as an independent check of the integer core and
 as the tests' own evaluation, Taylor expansion and hbar -> -hbar flip.  A
 polynomial is a trimmed tuple of Fraction, index = power of hbar; a factor
 map is {k: multiplicity}.  ``int_poly`` carries such a tuple into the
-integer ``Poly`` that exactarith takes.
+integer ``Poly`` that exactarith takes.  ``ref_cycle_classes`` is the
+cycle count npoint ran before its label-insertion recurrence: list every
+cycle, then count edge sequences under their least rotation.
 """
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from hurwitz.exactarith import Poly
+from hurwitz.npoint import enumerate_cycles
 
 
 def ref_trim(coeffs):
@@ -142,3 +146,18 @@ def ref_flip(f):
     num, factors = as_pair(f)
     flipped = tuple(-c if j % 2 else c for j, c in enumerate(num))
     return flipped, {-k: e for k, e in factors.items()}
+
+
+def edge_sequence(cycle, parts):
+    """(ascending, head part) of each edge of a cycle, read from vertex 1."""
+    heads = cycle[1:] + cycle[:1]
+    return tuple(t < h for t, h in zip(cycle, heads)), tuple(parts[h - 1] for h in heads)
+
+
+def ref_cycle_classes(parts):
+    """Cycles per edge sequence up to rotation, keyed by the least rotation."""
+    classes = Counter()
+    for cycle in enumerate_cycles(len(parts)):
+        asc, heads = edge_sequence(cycle, parts)
+        classes[min((asc[r:] + asc[:r], heads[r:] + heads[:r]) for r in range(len(asc)))] += 1
+    return classes

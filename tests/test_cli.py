@@ -316,7 +316,7 @@ class TestUsageErrors:
         assert f"engine guard: l = {len(parts)} > 10 (use --force)" in err
 
     def test_engine_guard_admits_ten_parts(self, capsys, monkeypatch):
-        # (1^10) stays accepted; the stub keeps the 9! cycle sum out of the test
+        # (1^10) stays accepted; the stub keeps the closed form out of the test
         seen = []
         small = closedform.simple_closed_form(Partition((2,)))
 

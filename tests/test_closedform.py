@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -106,6 +106,37 @@ class TestEvaluate:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             evaluate(simple_closed_form(part(3)), -1)
+
+
+class TestGenusZeroAnchors:
+    # Closed formulas that share nothing with npoint or the oracle; the
+    # library has no guard, so the profiles past the CLI's reach run too.
+    PROFILES = [mu for d in range(2, 10) for mu in partitions_of(d)] + [
+        Partition((1,) * 10),
+        Partition((2,) + (1,) * 8),
+        Partition((20, 20)),
+        Partition((10, 10, 10)),
+        Partition((8, 7, 5)),
+    ]
+
+    def test_simple_hurwitz_formula(self):
+        # (d+l-2)! d^(l-3) prod mu_i^mu_i / mu_i!  (Hurwitz 1891)
+        assert len(self.PROFILES) == 100
+        for mu in self.PROFILES:
+            d, l = mu.size, mu.length
+            expected = factorial(d + l - 2) * F(d) ** (l - 3)
+            expected *= prod(F(p**p, factorial(p)) for p in mu.parts)
+            assert evaluate(simple_closed_form(mu), 0) == expected, mu.parts
+
+    def test_monotone_formula(self):
+        # (2d+1)^(rising l-3) prod binom(2 mu_i, mu_i), the rising factorial
+        # read as Gamma(2d+1+l-3)/Gamma(2d+1): 1/(2d) at l = 2 and
+        # 1/((2d)(2d-1)) at l = 1  (Goulden, Guay-Paquet and Novak 2013)
+        for mu in self.PROFILES:
+            d, l = mu.size, mu.length
+            rising = F(factorial(2 * d + l - 3), factorial(2 * d))
+            expected = rising * prod(comb(2 * p, p) for p in mu.parts)
+            assert evaluate(monotone_closed_form(mu), 0) == expected, mu.parts
 
 
 class TestRoundTrip:

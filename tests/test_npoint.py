@@ -1,11 +1,13 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import pytest
 
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
+    _cycle_classes,
     _signature_summaries,
     _weighted_pair_sums,
     enumerate_cycles,
@@ -15,22 +17,16 @@ from hurwitz.npoint import (
 from hurwitz.oracle import oracle_hurwitz
 from hurwitz.partitions import Partition, partitions_of
 
-from dense_reference import as_pair, ref_flip, ref_taylor
+from dense_reference import as_pair, edge_sequence, ref_cycle_classes, ref_flip, ref_taylor
 
 
 def part(*parts):
     return Partition(tuple(parts))
 
 
-def edge_sequence(cycle, mu):
-    """(ascending, head part) of each edge of a cycle, read from vertex 1."""
-    heads = cycle[1:] + cycle[:1]
-    return tuple(t < h for t, h in zip(cycle, heads)), tuple(mu.parts[h - 1] for h in heads)
-
-
 def summaries(cycle, mu):
     """Sorted affine pairs -> signed count of one cycle's balanced assignments."""
-    return _signature_summaries(*edge_sequence(cycle, mu))
+    return _signature_summaries(*edge_sequence(cycle, mu.parts))
 
 
 def even_pole_factors(simple_ks, double_ks=()):
@@ -59,6 +55,23 @@ class TestEnumerateCycles:
 
     def test_one_part_is_the_loop(self):
         assert enumerate_cycles(1) == [(1,)]
+
+
+class TestCycleClasses:
+    def test_equals_the_listing(self):
+        # every cycle of each profile, listed and rotated, against the
+        # label-insertion recurrence
+        checked = 0
+        for d in range(1, 10):
+            for mu in partitions_of(d):
+                assert _cycle_classes(mu.parts) == ref_cycle_classes(mu.parts), mu
+                checked += 1
+        assert checked == 96
+
+    def test_counts_sum_to_every_cycle(self):
+        for l in range(1, 13):
+            for parts in ((1,) * l, (2,) + (1,) * (l - 1)):
+                assert sum(_cycle_classes(parts).values()) == factorial(l - 1)
 
 
 class TestSignatureSummaries:
@@ -107,7 +120,7 @@ class TestSignatureSummaries:
         for d in range(1, 8):
             for mu in partitions_of(d):
                 for cycle in enumerate_cycles(mu.length):
-                    ascending, heads = edge_sequence(cycle, mu)
+                    ascending, heads = edge_sequence(cycle, mu.parts)
                     expected = summary(ascending, heads)
                     for r in range(mu.length):
                         rotated = (ascending[r:] + ascending[:r], heads[r:] + heads[:r])

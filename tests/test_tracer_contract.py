@@ -25,7 +25,6 @@ CASES = [
             "affine.calls": 890,
             "closedform.terms": 20,
             "exactarith.pf_terms": 40,
-            "npoint.cycles": 6,
             "npoint.numerator_degree": 32,
             "npoint.pole_order": 40,
         },
@@ -37,14 +36,13 @@ CASES = [
             "affine.calls": 5,
             "closedform.terms": 4,
             "exactarith.pf_terms": 8,
-            "npoint.cycles": 1,
             "npoint.numerator_degree": 4,
             "npoint.pole_order": 8,
         },
     ),
     (
         "closed-form --kind simple --mu 4,2,1 --format json",
-        {"affine.calls": 105, "closedform.terms": 8, "npoint.cycles": 2},
+        {"affine.calls": 105, "closedform.terms": 8},
     ),
     (
         "oracle --kind simple --mu 3 --genus 0",
