@@ -18,15 +18,13 @@ from .exactarith import (
 )
 from .npoint import monotone_generating, simple_generating
 from .oracle import count_constellations, oracle_hurwitz
-from .partitions import Partition, conjugate, hook_product, partitions_of
+from .partitions import Partition, partitions_of
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
     "partitions_of",
-    "conjugate",
-    "hook_product",
     "Poly",
     "FactoredRationalFunction",
     "PartialFraction",

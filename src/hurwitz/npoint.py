@@ -14,6 +14,12 @@ joins the i-th and (i+1)-th vertices along the cycle and carries either
 Requiring every vertex's two incident exponents to sum to -mu_v - 1 pins
 all h and n indices once the affine m indices are chosen, so the search
 space is a set of bounded compositions rather than a formal series ring.
+Walking the cycle, let s be the exponent at the last edge's head plus the
+part there; the next edge's tail must take -1-s.  A principal edge then
+has h = s when ascending (sign +1) or h = -1-s when descending (sign -1),
+and its head takes s either way: it fits exactly when it ascends if and
+only if s >= 0, so between affine edges the walk is forced.  An affine
+edge takes n = s, so it needs s >= 0, and its m is the only choice.
 The search keeps only what the weights read: the product of the principal
 signs, summed per multiset of affine (n, m) pairs.  The cycles are never
 listed: they are counted per edge sequence up to rotation, and each such
@@ -63,37 +69,33 @@ def _signature_summaries(
     tau-function's weight, so each balanced assignment adds the product of
     its principal signs to its multiset's count; this is the kind-independent
     core of the cycle sum.  The walk starts at the least affine edge (every
-    balanced assignment has one) with its m index m0 chosen; the balance at
-    the vertex shared with the previous edge forces everything else, and
-    closing the cycle fixes the starting edge's n index.  Returns a dict
+    balanced assignment has one) with its m index m0 chosen and carries the
+    running sum s of the module docstring; each step adds the next head's
+    part to s + consumed, so s <= d - 1 throughout, and closing the cycle
+    fixes the starting edge's n index to s = d - consumed.  Returns a dict
     pair multiset -> count.  Not cached: ``_weighted_pair_sums`` calls it
     once per rotation class, and each request is one profile and one kind.
     """
     d, l = sum(head_mu), len(head_mu)
     counts: dict[tuple[tuple[int, int], ...], int] = {}
 
-    def extend(pos, first, m0, r_prev, consumed, sign, pairs) -> None:
+    def extend(pos, first, m0, r, consumed, sign, pairs) -> None:
         q = (first + pos) % l
-        need_l = -head_mu[q - 1] - 1 - r_prev
+        s = r + head_mu[q - 1]  # edge q's tail takes -1-s
         if pos == l:
             # never negative: the m ranges below keep consumed <= d
-            n0 = -need_l - 1
-            assert n0 == d - consumed, "vertex balances must consume degree d"
-            key = tuple(sorted(pairs + ((n0, m0),)))
+            assert s == d - consumed, "vertex balances must consume degree d"
+            key = tuple(sorted(pairs + ((s, m0),)))
             counts[key] = counts.get(key, 0) + sign
             return
-        if need_l <= -1:
-            forced = -need_l - 1
-            if ascending[q] and forced <= d - 1:
-                extend(pos + 1, first, m0, forced, consumed, sign, pairs)
-            if q > first:
-                for m_q in range(d - consumed - forced):
-                    extend(
-                        pos + 1, first, m0, -m_q - 1, consumed + forced + m_q + 1,
-                        sign, pairs + ((forced, m_q),),
-                    )
-        elif not ascending[q] and need_l <= d - 1:
-            extend(pos + 1, first, m0, -1 - need_l, consumed, -sign, pairs)
+        if ascending[q] == (s >= 0):  # principal: the head takes s
+            extend(pos + 1, first, m0, s, consumed, sign if s >= 0 else -sign, pairs)
+        if s >= 0 and q > first:  # affine (n, m) = (s, m)
+            for m in range(d - consumed - s):
+                extend(
+                    pos + 1, first, m0, -m - 1, consumed + s + m + 1,
+                    sign, pairs + ((s, m),),
+                )
 
     for first in range(l):
         for m0 in range(d):

@@ -2,7 +2,7 @@
 
 A partition is a weakly decreasing tuple of positive integers; the empty
 partition is allowed and has size and length zero.  Everything downstream
-(ramification profiles, hook products, automorphism orders) starts here.
+(ramification profiles, automorphism orders) starts here.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import factorial
 from operator import index
 
-__all__ = ["Partition", "partitions_of", "conjugate", "hook_product", "aut_order"]
+__all__ = ["Partition", "partitions_of", "aut_order"]
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class Partition:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -71,27 +68,6 @@ def partitions_of(d: int) -> list[Partition]:
             prefix.pop()
 
     descend(d, d, [])
-    return out
-
-
-def conjugate(mu: Partition) -> Partition:
-    """Reflect the Young diagram along the main diagonal."""
-    if not mu.parts:
-        return Partition()
-    cols = [0] * mu.parts[0]
-    for p in mu.parts:
-        for j in range(p):
-            cols[j] += 1
-    return Partition(tuple(cols))
-
-
-def hook_product(mu: Partition) -> int:
-    """Product of all hook lengths mu_i + mu^t_j - i - j + 1; 1 for the empty shape."""
-    conj = conjugate(mu).parts
-    out = 1
-    for i, row in enumerate(mu.parts, start=1):
-        for j in range(1, row + 1):
-            out *= row + conj[j - 1] - i - j + 1
     return out
 
 

@@ -8,6 +8,8 @@ map is {k: multiplicity}.  ``int_poly`` carries such a tuple into the
 integer ``Poly`` that exactarith takes.  ``ref_cycle_classes`` is the
 cycle count npoint ran before its label-insertion recurrence: list every
 cycle, then count edge sequences under their least rotation.
+``conjugate`` and ``hook_product`` are the Young-diagram helpers that the
+partition and affine tests check against.
 """
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +17,7 @@ from math import lcm
 
 from hurwitz.exactarith import Poly
 from hurwitz.npoint import enumerate_cycles
+from hurwitz.partitions import Partition
 
 
 def ref_trim(coeffs):
@@ -161,3 +164,24 @@ def ref_cycle_classes(parts):
         asc, heads = edge_sequence(cycle, parts)
         classes[min((asc[r:] + asc[:r], heads[r:] + heads[:r]) for r in range(len(asc)))] += 1
     return classes
+
+
+def conjugate(mu: Partition) -> Partition:
+    """Reflect the Young diagram along the main diagonal."""
+    if not mu.parts:
+        return Partition()
+    cols = [0] * mu.parts[0]
+    for p in mu.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(tuple(cols))
+
+
+def hook_product(mu: Partition) -> int:
+    """Product of all hook lengths mu_i + mu^t_j - i - j + 1; 1 for the empty shape."""
+    conj = conjugate(mu).parts
+    out = 1
+    for i, row in enumerate(mu.parts, start=1):
+        for j in range(1, row + 1):
+            out *= row + conj[j - 1] - i - j + 1
+    return out

@@ -229,16 +229,13 @@ def test_criterion_4_oracle_equivalence():
     criterion(4, "oracle equivalence", 120.0, body)
 
 
-def test_oracle_equivalence_to_degree_eight():
+def test_oracle_equivalence_to_degree_eight(closed_forms):
     # criterion 4 widened to every profile the default oracle guard admits
     # (d <= 8), at b <= 8
     triples = 0
     for d in range(2, 9):
         for mu in partitions_of(d):
-            for kind, build in (
-                ("simple", simple_closed_form),
-                ("monotone", monotone_closed_form),
-            ):
+            for kind, build in closed_forms.items():
                 form = build(mu)
                 g = 0
                 while 2 * g - 2 + mu.size + mu.length <= 8:

@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 
 from hurwitz.affine import monotone_affine, simple_affine
-from hurwitz.partitions import Partition, hook_product
+from dense_reference import hook_product
+from hurwitz.partitions import Partition
 
 
 class TestMonotoneAffine:

@@ -389,13 +389,10 @@ class TestUsageErrors:
 
 
 class TestJsonRoundTripInvariant:
-    def test_round_trips_through_emitted_document(self, capsys):
+    def test_round_trips_through_emitted_document(self, capsys, closed_forms):
         for d in range(2, 9):
             for mu in partitions_of(d):
-                for kind, build in (
-                    ("monotone", closedform.monotone_closed_form),
-                    ("simple", closedform.simple_closed_form),
-                ):
+                for kind, build in closed_forms.items():
                     mu_arg = ",".join(map(str, mu.parts))
                     code, out, _ = run(
                         capsys, "closed-form", "--kind", kind, "--mu", mu_arg,

@@ -18,6 +18,7 @@ from hurwitz.exactarith import (
     FactoredRationalFunction,
     PartialFraction,
     Poly,
+    common_denominator_sum,
     partial_fractions,
 )
 from hurwitz.npoint import monotone_generating, simple_generating
@@ -83,10 +84,10 @@ class TestSimpleClosedForm:
         assert form.terms == ((1, 1, F(1)),)
         assert evaluate(form, 0) == F(1, 2)
 
-    def test_coefficients_are_integers(self):
+    def test_coefficients_are_integers(self, closed_forms):
         for d in range(2, 7):
             for mu in partitions_of(d):
-                for _, _, c in simple_closed_form(mu).terms:
+                for _, _, c in closed_forms["simple"](mu).terms:
                     assert c.denominator == 1
 
 
@@ -119,16 +120,16 @@ class TestGenusZeroAnchors:
         Partition((8, 7, 5)),
     ]
 
-    def test_simple_hurwitz_formula(self):
+    def test_simple_hurwitz_formula(self, closed_forms):
         # (d+l-2)! d^(l-3) prod mu_i^mu_i / mu_i!  (Hurwitz 1891)
         assert len(self.PROFILES) == 100
         for mu in self.PROFILES:
             d, l = mu.size, mu.length
             expected = factorial(d + l - 2) * F(d) ** (l - 3)
             expected *= prod(F(p**p, factorial(p)) for p in mu.parts)
-            assert evaluate(simple_closed_form(mu), 0) == expected, mu.parts
+            assert evaluate(closed_forms["simple"](mu), 0) == expected, mu.parts
 
-    def test_monotone_formula(self):
+    def test_monotone_formula(self, closed_forms):
         # (2d+1)^(rising l-3) prod binom(2 mu_i, mu_i), the rising factorial
         # read as Gamma(2d+1+l-3)/Gamma(2d+1): 1/(2d) at l = 2 and
         # 1/((2d)(2d-1)) at l = 1  (Goulden, Guay-Paquet and Novak 2013)
@@ -136,14 +137,44 @@ class TestGenusZeroAnchors:
             d, l = mu.size, mu.length
             rising = F(factorial(2 * d + l - 3), factorial(2 * d))
             expected = rising * prod(comb(2 * p, p) for p in mu.parts)
-            assert evaluate(monotone_closed_form(mu), 0) == expected, mu.parts
+            assert evaluate(closed_forms["monotone"](mu), 0) == expected, mu.parts
+
+
+class TestOnePartAnchors:
+    # At every genus: of all shapes of size d only the hooks (d-k, 1^k) have
+    # a nonzero character at a d-cycle, (-1)^k, with dimension binom(d-1, k)
+    # and contents 1..d-k-1 and -1..-k besides 0 (Shapiro, Shapiro and
+    # Vainshtein 1997; Goulden, Jackson and Vakil 2005).
+    DEGREES = range(2, 41)
+
+    def test_simple_hook_sum(self):
+        # sum_k (-1)^k binom(d-1,k) / (d * d!) e^{c_k hbar},
+        # c_k = binom(d-k, 2) - binom(k+1, 2), the hook's content sum
+        for d in self.DEGREES:
+            expected = {
+                comb(d - k, 2) - comb(k + 1, 2): F((-1) ** k * comb(d - 1, k), d * factorial(d))
+                for k in range(d)
+            }
+            assert list(simple_generating(part(d)).items()) == sorted(expected.items()), d
+
+    def test_monotone_hook_sum(self):
+        # sum_k (-1)^k binom(d-1,k) / d! prod_{c != 0} 1/(1 - c hbar)
+        for d in self.DEGREES:
+            expected = common_denominator_sum(
+                (
+                    F((-1) ** k * comb(d - 1, k), factorial(d)),
+                    {c: 1 for c in [*range(1, d - k), *range(-k, 0)]},
+                )
+                for k in range(d)
+            )
+            assert monotone_generating(part(d)) == expected, d
 
 
 class TestRoundTrip:
-    def test_monotone_taylor_agreement(self):
+    def test_monotone_taylor_agreement(self, closed_forms):
         for d in range(2, 7):
             for mu in partitions_of(d):
-                form = monotone_closed_form(mu)
+                form = closed_forms["monotone"](mu)
                 product = 1
                 for p in mu.parts:
                     product *= p
@@ -152,10 +183,10 @@ class TestRoundTrip:
                     b = 2 * g + form.b_offset
                     assert evaluate(form, g) == series[b] / product
 
-    def test_simple_taylor_agreement(self):
+    def test_simple_taylor_agreement(self, closed_forms):
         for d in range(2, 7):
             for mu in partitions_of(d):
-                form = simple_closed_form(mu)
+                form = closed_forms["simple"](mu)
                 series = simple_generating(mu)
                 for g in range(0, 5):
                     b = 2 * g + form.b_offset

