@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import closedform, oracle
 from .closedform import GenusClosedForm
@@ -112,14 +112,17 @@ class _Document:
     """One command's result; the JSON payload is its only data model.
 
     CSV projects ``rows`` (dicts taken from the payload) onto ``columns``.
-    ``text`` builds the text lines from the payload's strings and is called
-    only when text output is asked for.
+    Text is the ``head`` lines, ``line(row)`` for each row, then the
+    ``foot`` lines, all built from the payload's strings; the row lines are
+    built only when text output is asked for.
     """
 
     payload: dict
     columns: tuple[str, ...]
     rows: list[dict]
-    text: Callable[[], list[str]]
+    head: Sequence[str]
+    line: Callable[[dict], str]
+    foot: Sequence[str] = ()
     code: int = 0
 
 
@@ -145,41 +148,43 @@ def _render(document: _Document, fmt: str) -> str:
             [_cell(row[c]) for c in document.columns] for row in document.rows
         )
         return buffer.getvalue()
-    return "\n".join(document.text()) + "\n"
+    # One expression: a named line list would outlive the join and hold a
+    # third copy of every value while the newline is appended.
+    return "\n".join(
+        [*document.head, *map(document.line, document.rows), *document.foot]
+    ) + "\n"
 
 
 def _cmd_closed_form(args) -> _Document:
     payload = closedform.to_json_dict(
         _closed_form(args.kind, _parse_mu(args.mu), args.force)
     )
-    terms = payload["terms"]
-
-    def text() -> list[str]:
-        return [
-            f"kind: {args.kind}",
-            f"mu: {_cell(payload['mu'])}",
-            f"b = 2g + {payload['b_offset']}",
-            f"normalization: {payload['normalization']}",
-            "terms (coeff * b^(i-1) * k^b):",
-        ] + [f"  k={t['k']} i={t['i']} coeff={t['coeff']}" for t in terms]
-
-    return _Document(payload, ("k", "i", "coeff"), terms, text)
+    head = [
+        f"kind: {args.kind}",
+        f"mu: {_cell(payload['mu'])}",
+        f"b = 2g + {payload['b_offset']}",
+        f"normalization: {payload['normalization']}",
+        "terms (coeff * b^(i-1) * k^b):",
+    ]
+    return _Document(
+        payload, ("k", "i", "coeff"), payload["terms"], head,
+        lambda t: f"  k={t['k']} i={t['i']} coeff={t['coeff']}",
+    )
 
 
 def _cmd_eval(args) -> _Document:
     mu = _parse_mu(args.mu)
     _genus_guard(mu, range(args.genus, args.genus + 1), args.force)
     form = _closed_form(args.kind, mu, args.force)
-    value = format_rational(closedform.evaluate(form, args.genus))
     payload = {
         "kind": args.kind,
         "mu": list(mu.parts),
         "genus": args.genus,
         "b": 2 * args.genus + form.b_offset,
-        "value": value,
+        "value": format_rational(closedform.evaluate(form, args.genus)),
     }
     return _Document(
-        payload, ("kind", "mu", "genus", "value"), [payload], lambda: [value]
+        payload, ("kind", "mu", "genus", "value"), [payload], [], lambda p: p["value"]
     )
 
 
@@ -199,12 +204,11 @@ def _cmd_table(args) -> _Document:
             }
         )
     payload = {"kind": args.kind, "mu": list(mu.parts), "rows": rows}
-
-    def text() -> list[str]:
-        lines = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "g  b  value  decimal"]
-        return lines + [f"{r['g']}  {r['b']}  {r['value']}  {r['decimal']}" for r in rows]
-
-    return _Document(payload, ("g", "b", "value", "decimal"), rows, text)
+    head = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "g  b  value  decimal"]
+    return _Document(
+        payload, ("g", "b", "value", "decimal"), rows, head,
+        lambda r: f"{r['g']}  {r['b']}  {r['value']}  {r['decimal']}",
+    )
 
 
 def _cmd_oracle(args) -> _Document:
@@ -218,15 +222,11 @@ def _cmd_oracle(args) -> _Document:
         "count": count,
         "hurwitz": format_rational(value),
     }
-
-    def text() -> list[str]:
-        return [
-            f"mu={_cell(payload['mu'])} kind={args.kind} genus={args.genus} b={b} "
-            f"count={count} hurwitz={payload['hurwitz']}"
-        ]
-
-    columns = ("kind", "mu", "genus", "b", "count", "hurwitz")
-    return _Document(payload, columns, [payload], text)
+    return _Document(
+        payload, ("kind", "mu", "genus", "b", "count", "hurwitz"), [payload], [],
+        lambda p: f"mu={_cell(p['mu'])} kind={p['kind']} genus={p['genus']} b={p['b']} "
+        f"count={p['count']} hurwitz={p['hurwitz']}",
+    )
 
 
 def _cmd_verify(args) -> _Document:
@@ -254,18 +254,14 @@ def _cmd_verify(args) -> _Document:
         "matches": matches,
         "total": len(rows),
     }
-
-    def text() -> list[str]:
-        lines = [f"mu={_cell(payload['mu'])} kind={args.kind}"]
-        lines += [
-            f"g={r['g']} closed-form={r['closed_form']} oracle={r['oracle']} "
-            + ("match" if r["match"] else "MISMATCH")
-            for r in rows
-        ]
-        return lines + [f"{matches}/{len(rows)} genera match"]
-
-    code = 0 if matches == len(rows) else 2
-    return _Document(payload, ("g", "closed_form", "oracle", "match"), rows, text, code)
+    return _Document(
+        payload, ("g", "closed_form", "oracle", "match"), rows,
+        [f"mu={_cell(payload['mu'])} kind={args.kind}"],
+        lambda r: f"g={r['g']} closed-form={r['closed_form']} oracle={r['oracle']} "
+        + ("match" if r["match"] else "MISMATCH"),
+        [f"{matches}/{len(rows)} genera match"],
+        0 if matches == len(rows) else 2,
+    )
 
 
 def _cmd_checks(args) -> _Document:
@@ -295,20 +291,16 @@ def _cmd_checks(args) -> _Document:
         "rows": rows,
         "all_pass": passed == len(rows),
     }
-
-    def text() -> list[str]:
-        lines = [f"kind: {args.kind}"]
-        lines += [
-            f"d={r['d']} mu={_cell(r['mu'])} top={r['top']}"
-            f" gap={'ok' if r['gap_all_zero'] else 'BAD'}"
-            f" second={'-' if r['second'] is None else r['second']} "
-            + ("pass" if r["pass"] else "FAIL")
-            for r in rows
-        ]
-        return lines + [f"{passed}/{len(rows)} partitions conform"]
-
-    columns = ("d", "mu", "top", "gap_all_zero", "second", "pass")
-    return _Document(payload, columns, rows, text, 0 if payload["all_pass"] else 2)
+    return _Document(
+        payload, ("d", "mu", "top", "gap_all_zero", "second", "pass"), rows,
+        [f"kind: {args.kind}"],
+        lambda r: f"d={r['d']} mu={_cell(r['mu'])} top={r['top']}"
+        f" gap={'ok' if r['gap_all_zero'] else 'BAD'}"
+        f" second={'-' if r['second'] is None else r['second']} "
+        + ("pass" if r["pass"] else "FAIL"),
+        [f"{passed}/{len(rows)} partitions conform"],
+        0 if payload["all_pass"] else 2,
+    )
 
 
 def _cmd_asymptotics(args) -> _Document:
@@ -324,64 +316,42 @@ def _cmd_asymptotics(args) -> _Document:
         "b_offset": form.b_offset,
         "terms": terms,
     }
-
-    def text() -> list[str]:
-        lines = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "terms by dominance:"]
-        return lines + [
-            f"  k={t['k']} i={t['i']} coeff={t['coeff']}"
-            + (" [leading]" if t["leading"] else "")
-            for t in terms
-        ]
-
-    return _Document(payload, ("k", "i", "coeff", "leading"), terms, text)
+    head = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "terms by dominance:"]
+    return _Document(
+        payload, ("k", "i", "coeff", "leading"), terms, head,
+        lambda t: f"  k={t['k']} i={t['i']} coeff={t['coeff']}"
+        + (" [leading]" if t["leading"] else ""),
+    )
 
 
-def _add_common(sub: argparse.ArgumentParser, mu_required: bool = True) -> None:
-    sub.add_argument("--kind", choices=_KINDS, required=True)
-    if mu_required:
-        sub.add_argument("--mu", required=True, help="partition, e.g. 3,2,1")
-    sub.add_argument("--format", choices=_FORMATS, default="text")
-    sub.add_argument("--force", action="store_true", help="override guard limits")
-    sub.add_argument("--output", default=None, help="write the document to a file")
+# name: (handler, help, its one integer option or None, that option's least value)
+_COMMANDS = {
+    "closed-form": (_cmd_closed_form, "emit a closed form", None, None),
+    "eval": (_cmd_eval, "evaluate a closed form at one genus", "--genus", 0),
+    "table": (_cmd_table, "tabulate values for g = 0..genus-max", "--genus-max", 0),
+    "oracle": (_cmd_oracle, "brute-force count and Hurwitz value", "--genus", 0),
+    "verify": (_cmd_verify, "closed form vs oracle, per genus", "--genus-max", 0),
+    "checks": (_cmd_checks, "structure-theorem sweep over d <= d-max", "--d-max", 2),
+    "asymptotics": (_cmd_asymptotics, "terms in dominance order", None, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hurwitz", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("closed-form", parents=[], help="emit a closed form")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_closed_form)
-
-    sub = commands.add_parser("eval", help="evaluate a closed form at one genus")
-    _add_common(sub)
-    sub.add_argument("--genus", type=int, required=True)
-    sub.set_defaults(handler=_cmd_eval)
-
-    sub = commands.add_parser("table", help="tabulate values for g = 0..genus-max")
-    _add_common(sub)
-    sub.add_argument("--genus-max", type=int, required=True)
-    sub.set_defaults(handler=_cmd_table)
-
-    sub = commands.add_parser("oracle", help="brute-force count and Hurwitz value")
-    _add_common(sub)
-    sub.add_argument("--genus", type=int, required=True)
-    sub.set_defaults(handler=_cmd_oracle)
-
-    sub = commands.add_parser("verify", help="closed form vs oracle, per genus")
-    _add_common(sub)
-    sub.add_argument("--genus-max", type=int, required=True)
-    sub.set_defaults(handler=_cmd_verify)
-
-    sub = commands.add_parser("checks", help="structure-theorem sweep over d <= d-max")
-    _add_common(sub, mu_required=False)
-    sub.add_argument("--d-max", type=int, required=True)
-    sub.set_defaults(handler=_cmd_checks)
-
-    sub = commands.add_parser("asymptotics", help="terms in dominance order")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_asymptotics)
-
+    for name, (handler, help_text, option, least) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--kind", choices=_KINDS, required=True)
+        if name != "checks":
+            sub.add_argument("--mu", required=True, help="partition, e.g. 3,2,1")
+        sub.add_argument("--format", choices=_FORMATS, default="text")
+        sub.add_argument("--force", action="store_true", help="override guard limits")
+        sub.add_argument("--output", default=None, help="write the document to a file")
+        bound = None
+        if option is not None:
+            dest = sub.add_argument(option, type=int, required=True).dest
+            bound = (option, dest, least)
+        sub.set_defaults(handler=handler, bound=bound)
     return parser
 
 
@@ -397,10 +367,10 @@ def main(argv=None) -> int:
         digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        if getattr(args, "genus_max", 0) < 0:
-            raise ValueError("--genus-max must be >= 0")
-        if getattr(args, "d_max", 2) < 2:
-            raise ValueError("--d-max must be >= 2")
+        if args.bound is not None:
+            option, dest, least = args.bound
+            if getattr(args, dest) < least:
+                raise ValueError(f"{option} must be >= {least}")
         document = args.handler(args)
         rendered = _render(document, args.format)
         if args.output:

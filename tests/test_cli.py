@@ -1,9 +1,11 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hurwitz.cli
 from hurwitz import closedform, oracle
 from hurwitz.cli import main
 from hurwitz.closedform import to_json_dict
@@ -381,11 +383,15 @@ class TestUsageErrors:
         assert code == 0
         assert out == "1000000\n"
 
-    def test_negative_genus(self, capsys):
-        code, _, _ = run(
-            capsys, "eval", "--kind", "simple", "--mu", "3", "--genus", "-1"
-        )
-        assert code == 1
+    def test_negative_genus(self, capsys, monkeypatch):
+        # refused before any closed form is built or constellation counted
+        seen = []
+        monkeypatch.setattr(closedform, "simple_closed_form", seen.append)
+        monkeypatch.setattr(oracle, "count_constellations", lambda *a, **k: seen.append(a))
+        for command in ("eval", "oracle"):
+            result = run(capsys, command, "--kind", "simple", "--mu", "3", "--genus", "-1")
+            assert result == (1, "", "error: --genus must be >= 0\n")
+        assert seen == []
 
 
 class TestJsonRoundTripInvariant:
@@ -400,3 +406,54 @@ class TestJsonRoundTripInvariant:
                     )
                     assert code == 0
                     assert json.loads(out) == to_json_dict(build(mu))
+
+
+# First line of each subcommand's --help at COLUMNS=200.
+USAGE = {
+    "closed-form": "usage: hurwitz closed-form [-h] --kind {simple,monotone} --mu MU"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT]",
+    "eval": "usage: hurwitz eval [-h] --kind {simple,monotone} --mu MU"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT] --genus GENUS",
+    "table": "usage: hurwitz table [-h] --kind {simple,monotone} --mu MU"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT] --genus-max GENUS_MAX",
+    "oracle": "usage: hurwitz oracle [-h] --kind {simple,monotone} --mu MU"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT] --genus GENUS",
+    "verify": "usage: hurwitz verify [-h] --kind {simple,monotone} --mu MU"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT] --genus-max GENUS_MAX",
+    "checks": "usage: hurwitz checks [-h] --kind {simple,monotone}"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT] --d-max D_MAX",
+    "asymptotics": "usage: hurwitz asymptotics [-h] --kind {simple,monotone} --mu MU"
+    " [--format {text,json,csv}] [--force] [--output OUTPUT]",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_help_usage_line(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.splitlines()[0] == USAGE[command]
+
+
+def _readme_examples():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+def _docstring_examples():
+    block = hurwitz.cli.__doc__.split("Usage:\n", 1)[1].split("\n\n", 1)[0]
+    return [line.strip() for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("examples", [_readme_examples, _docstring_examples])
+def test_examples_name_every_command_once(examples):
+    lines = examples()
+    assert all(line.split()[0] == "hurwitz" for line in lines), lines
+    assert sorted(line.split()[1] for line in lines) == sorted(USAGE)
+
+
+@pytest.mark.parametrize("example", _readme_examples())
+def test_readme_example_runs(capsys, example):
+    code, _, err = run(capsys, *example.split()[1:])
+    assert code == 0, err
