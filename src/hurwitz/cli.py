@@ -40,7 +40,7 @@ ENGINE_MAX_PARTS = 10
 # eval and table print values of about b*log10(k) digits, and the int-to-str
 # conversion is quadratic, so their cost follows the sum of b^2 over the
 # requested genera.  On (4,4,4): 1e10 is eval at genus 50000 (0.9 s) or
-# table up to genus 2000 (2.6 s); 2.1e10 is table up to genus 2500 (4.6 s).
+# table up to genus 2000 (1.0 s); 2.1e10 is table up to genus 2500 (1.7 s).
 GENUS_MAX_B_SQUARES = 2 * 10**10
 
 _FORMATS = ("text", "json", "csv")
@@ -96,11 +96,16 @@ def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
     return closedform.simple_closed_form(mu)
 
 
-def _decimal_string(value: Fraction, digits: int = 6) -> str:
-    """Display-only rendering to a fixed number of significant digits."""
+def _decimal_string(exact: str, digits: int = 6) -> str:
+    """Display-only rendering of a "p/q" or "p" to a fixed number of significant digits.
+
+    Decimal reads the digits exactly, in time linear in their count, so the
+    big integers are not converted to decimal a second time.
+    """
+    numerator, _, denominator = exact.partition("/")
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return str(Decimal(numerator) / Decimal(denominator or 1))
 
 
 def _optional_rational(value: Fraction | None) -> str | None:
@@ -193,14 +198,14 @@ def _cmd_table(args) -> _Document:
     _genus_guard(mu, range(args.genus_max + 1), args.force)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
-    for g in range(args.genus_max + 1):
-        value = closedform.evaluate(form, g)
+    for g, value in zip(range(args.genus_max + 1), closedform.values(form)):
+        exact = format_rational(value)
         rows.append(
             {
                 "g": g,
                 "b": 2 * g + form.b_offset,
-                "value": format_rational(value),
-                "decimal": _decimal_string(value),
+                "value": exact,
+                "decimal": _decimal_string(exact),
             }
         )
     payload = {"kind": args.kind, "mu": list(mu.parts), "rows": rows}

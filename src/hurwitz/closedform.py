@@ -5,6 +5,9 @@ b = 2g + b_offset the value at genus g is
 
     normalization * sum over terms of coeff * b^{i-1} * k^b.
 
+Values come from one iterator over consecutive genera: each k^b is computed
+once, at the starting genus, and carried to the next row by a factor k^2.
+
 Monotone forms come from partial fractions of the factored generating
 function (negative-k poles folded into positive k by parity); simple forms
 scale the exponential-sum coefficients to integers.
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import index
+from typing import Iterator
 
 from . import npoint
 from .exactarith import format_rational, partial_fractions, recombine
@@ -26,6 +30,7 @@ __all__ = [
     "AsymptoticTerm",
     "monotone_closed_form",
     "simple_closed_form",
+    "values",
     "evaluate",
     "structure_checks",
     "asymptotics",
@@ -163,16 +168,31 @@ def simple_closed_form(mu: Partition) -> GenusClosedForm:
     )
 
 
-def evaluate(form: GenusClosedForm, g: int) -> Fraction:
-    """Exact H_{g;mu} or vecH_{g;mu} at any genus g >= 0."""
+def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
+    """Exact H or vecH at genus g, g+1, g+2, ... (g >= 0), without end.
+
+    The coefficients share one denominator; per pole k the value is a small
+    polynomial in b times k^b, and k^b moves to the next genus by k^2.
+    """
     if g < 0:
         raise ValueError("genus must be >= 0")
     b = 2 * g + form.b_offset
     den = lcm(*(c.denominator for _, _, c in form.terms))
-    total = sum(
-        c.numerator * (den // c.denominator) * b ** (i - 1) * k**b for k, i, c in form.terms
-    )
-    return form.normalization * Fraction(total, den)
+    poles: dict[int, list[tuple[int, int]]] = {}
+    for k, i, c in form.terms:
+        poles.setdefault(k, []).append((i - 1, c.numerator * (den // c.denominator)))
+    powers = {k: k**b for k in poles}
+    while True:
+        total = sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items())
+        yield form.normalization * Fraction(total, den)
+        for k in powers:
+            powers[k] *= k * k
+        b += 2
+
+
+def evaluate(form: GenusClosedForm, g: int) -> Fraction:
+    """Exact H_{g;mu} or vecH_{g;mu} at any genus g >= 0."""
+    return next(values(form, g))
 
 
 def monotone_leading_coefficient(d: int) -> Fraction:

@@ -9,7 +9,9 @@ integer ``Poly`` that exactarith takes.  ``ref_cycle_classes`` is the
 cycle count npoint ran before its label-insertion recurrence: list every
 cycle, then count edge sequences under their least rotation.
 ``conjugate`` and ``hook_product`` are the Young-diagram helpers that the
-partition and affine tests check against.
+partition and affine tests check against.  ``ref_evaluate`` is the one-genus
+evaluation closedform ran before its values were carried from row to row:
+every k^b computed afresh from the terms.
 """
 from collections import Counter
 from fractions import Fraction
@@ -185,3 +187,15 @@ def hook_product(mu: Partition) -> int:
         for j in range(1, row + 1):
             out *= row + conj[j - 1] - i - j + 1
     return out
+
+
+def ref_evaluate(form, g):
+    """Exact value of a GenusClosedForm at genus g >= 0, from scratch."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    b = 2 * g + form.b_offset
+    den = lcm(*(c.denominator for _, _, c in form.terms))
+    total = sum(
+        c.numerator * (den // c.denominator) * b ** (i - 1) * k**b for k, i, c in form.terms
+    )
+    return form.normalization * Fraction(total, den)

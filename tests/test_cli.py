@@ -1,5 +1,6 @@
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 
 import hurwitz.cli
 from hurwitz import closedform, oracle
-from hurwitz.cli import main
+from hurwitz.cli import _decimal_string, main
 from hurwitz.closedform import to_json_dict
+from hurwitz.exactarith import format_rational
 from hurwitz.partitions import Partition, partitions_of
 
 
@@ -161,6 +163,28 @@ class TestTableCommand:
         # H_{4;(5)} = (10^12 - 4 * 5^12)/300
         assert last[2] == "3330078125"
         assert last[3] == "3.33008E+9"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (Fraction(3330078125), "3.33008E+9"),
+            (Fraction(-7, 3), "-2.33333"),
+            # monotone genus-0 values 1/(2d)
+            (Fraction(1, 4), "0.25"),
+            (Fraction(1, 14), "0.0714286"),
+            # exact half-even ties
+            (Fraction(1234565, 10), "123456"),
+            (Fraction(1234575, 10), "123458"),
+            (Fraction(7**4000 + 1, 3**2001), None),
+        ],
+    )
+    def test_decimal_string_reads_the_exact_digits(self, value, shown):
+        with localcontext() as ctx:
+            ctx.prec = 6
+            expected = str(Decimal(value.numerator) / Decimal(value.denominator))
+        assert _decimal_string(format_rational(value)) == expected
+        if shown is not None:
+            assert expected == shown
 
 
 class TestOracleCommand:

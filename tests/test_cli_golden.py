@@ -82,6 +82,13 @@ GOLDEN = [
     ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1,1,1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("table --kind monotone --mu 3 --genus-max -1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # Long tables, where each row's k^b is carried from the row before.
+    ("table --kind monotone --mu 3,3,2,1 --genus-max 300 --format text", 0, "873ca2cfe2a265b539b56a46cf26a9c99649943680276adbc96320cb19222d60"),
+    ("table --kind monotone --mu 3,3,2,1 --genus-max 300 --format json", 0, "cf8bf735331be3367d7ea608a77485f01a7e49e87a2eb6120debc8cb67d908a4"),
+    ("table --kind monotone --mu 3,3,2,1 --genus-max 300 --format csv", 0, "118e99989fd5c799510fa4e88df25f2bb2d49c116e88e20b0e5df0445ea89f20"),
+    ("table --kind simple --mu 4,4,4 --genus-max 300 --format text", 0, "a06e261c366c365c8e7ae8e1e8bab40d3915531297adbc8591da737c25d2be9c"),
+    ("table --kind simple --mu 4,4,4 --genus-max 300 --format json", 0, "2c820f05e904186c71eea75cc5a651ea4c84f2529306428601ebb830c61c1ef1"),
+    ("table --kind simple --mu 4,4,4 --genus-max 300 --format csv", 0, "e5e27198504d742892aa8a8657a8f4fe15d5026b91979084d3f5e4017edc5f51"),
 ]
 
 

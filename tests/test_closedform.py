@@ -13,6 +13,7 @@ from hurwitz.closedform import (
     simple_closed_form,
     structure_checks,
     to_json_dict,
+    values,
 )
 from hurwitz.exactarith import (
     FactoredRationalFunction,
@@ -24,7 +25,7 @@ from hurwitz.exactarith import (
 from hurwitz.npoint import monotone_generating, simple_generating
 from hurwitz.partitions import Partition, partitions_of
 
-from dense_reference import as_pair, ref_taylor
+from dense_reference import as_pair, ref_evaluate, ref_taylor
 
 
 def part(*parts):
@@ -107,6 +108,28 @@ class TestEvaluate:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             evaluate(simple_closed_form(part(3)), -1)
+        with pytest.raises(ValueError):
+            next(values(simple_closed_form(part(3)), -1))
+
+    @pytest.mark.parametrize("start", [0, 997])
+    @pytest.mark.parametrize(
+        "kind, parts",
+        [
+            ("simple", (4, 4, 4)),
+            ("simple", (3, 2, 1)),
+            ("monotone", (5,)),
+            # i >= 2 terms: b^{i-1} moves with b while k^b is carried
+            ("monotone", (3, 3, 2, 1)),
+            ("monotone", (2, 2, 2, 2, 2, 2)),
+        ],
+    )
+    def test_carried_values_match_reference(self, closed_forms, kind, parts, start):
+        form = closed_forms[kind](part(*parts))
+        carried = values(form, start)
+        for g in range(start, start + 3):
+            expected = ref_evaluate(form, g)
+            assert next(carried) == expected, (g, kind, parts)
+            assert evaluate(form, g) == expected, (g, kind, parts)
 
 
 class TestGenusZeroAnchors:
