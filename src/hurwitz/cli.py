@@ -32,6 +32,8 @@ from .partitions import Partition, partitions_of
 
 __all__ = ["main", "entry"]
 
+# Every cap is a command-line guard that --force lifts; the library calls
+# run unguarded.
 ENGINE_MAX_DEGREE = 12
 # Cycles are counted, not listed: forced (1^12) takes about 5 s and 19 MB.
 # The cap keeps checks, guarded through (1^d-max), at --d-max 10: 2.5-3.4 s
@@ -42,6 +44,13 @@ ENGINE_MAX_PARTS = 10
 # requested genera.  On (4,4,4): 1e10 is eval at genus 50000 (0.9 s) or
 # table up to genus 2000 (1.0 s); 2.1e10 is table up to genus 2500 (1.7 s).
 GENUS_MAX_B_SQUARES = 2 * 10**10
+# Over every partition of 7 and 8 at b = 10, 11 and 12 in both kinds, the
+# slowest oracle query is simple (2,2,1,1,1,1) at b = 12: 3.3-4.9 s and 74 MB
+# in a fresh process.  One step further, b = 13 takes 5.5 s for (4,1,1,1,1),
+# and d = 9 takes 8.1 s and 155 MB for (3,3,2,1) at b = 11 (2-vCPU x86,
+# Python 3.11).
+ORACLE_MAX_DEGREE = 8
+ORACLE_MAX_BRANCH_POINTS = 12
 
 _FORMATS = ("text", "json", "csv")
 _KINDS = ("simple", "monotone")
@@ -57,23 +66,30 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_mu(text: str) -> Partition:
     try:
-        parts = [int(piece) for piece in text.split(",") if piece.strip() != ""]
-        if not parts:
+        pieces = [piece for piece in map(str.strip, text.split(",")) if piece]
+        if not pieces or not all(p.isascii() and p.isdigit() for p in pieces):
             raise ValueError
-        return Partition.canonical(parts)
+        return Partition.canonical([int(piece) for piece in pieces])
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
 
 
+def _limit(what: str, label: str, value: int, limit: int, force: bool) -> None:
+    """The cap rule: refuse value > limit unless forced."""
+    if value > limit and not force:
+        raise ValueError(f"{what}: {label} = {value} > {limit} (use --force)")
+
+
 def _engine_guard(size: int, length: int, force: bool) -> None:
-    if size > ENGINE_MAX_DEGREE and not force:
-        raise ValueError(
-            f"engine guard: |mu| = {size} > {ENGINE_MAX_DEGREE} (use --force)"
-        )
-    if length > ENGINE_MAX_PARTS and not force:
-        raise ValueError(
-            f"engine guard: l = {length} > {ENGINE_MAX_PARTS} (use --force)"
-        )
+    _limit("engine guard", "|mu|", size, ENGINE_MAX_DEGREE, force)
+    _limit("engine guard", "l", length, ENGINE_MAX_PARTS, force)
+
+
+def _oracle_guard(mu: Partition, genus: int, force: bool) -> None:
+    what = "oracle search space too large"
+    b = 2 * genus + mu.size + mu.length - 2
+    _limit(what, "d", mu.size, ORACLE_MAX_DEGREE, force)
+    _limit(what, "b", b, ORACLE_MAX_BRANCH_POINTS, force)
 
 
 def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
@@ -218,7 +234,8 @@ def _cmd_table(args) -> _Document:
 
 def _cmd_oracle(args) -> _Document:
     mu = _parse_mu(args.mu)
-    b, count, value = oracle.oracle_count(mu, args.genus, args.kind, force=args.force)
+    _oracle_guard(mu, args.genus, args.force)
+    b, count, value = oracle.oracle_count(mu, args.genus, args.kind)
     payload = {
         "kind": args.kind,
         "mu": list(mu.parts),
@@ -237,12 +254,12 @@ def _cmd_oracle(args) -> _Document:
 def _cmd_verify(args) -> _Document:
     mu = _parse_mu(args.mu)
     # The last genus has the largest b: refuse before any engine or oracle work.
-    oracle.check_limits(mu.size, 2 * args.genus_max + mu.size + mu.length - 2, args.force)
+    _oracle_guard(mu, args.genus_max, args.force)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
     for g in range(args.genus_max + 1):
         lhs = closedform.evaluate(form, g)
-        rhs = oracle.oracle_hurwitz(mu, g, args.kind, force=args.force)
+        rhs = oracle.oracle_hurwitz(mu, g, args.kind)
         rows.append(
             {
                 "g": g,

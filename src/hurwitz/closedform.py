@@ -104,68 +104,53 @@ class AsymptoticTerm:
     leading: bool
 
 
+def _fold(
+    kind: str, mu: Partition, poles: dict, scale: int, normalization: Fraction
+) -> GenusClosedForm:
+    """Fold the poles D(k, i) at -k into k by hbar -> -hbar parity.
+
+    An exponential e^{k hbar} is the pole (k, 1).  Parity demands
+    D(-k, i) = (-1)^{d+l} D(k, i), and for k > 0 the terms are
+    Sum_i C(k,i) b^{i-1} = scale * Sum_i D(k,i) binom(b+i-1, i-1).
+    """
+    d, l = mu.size, mu.length
+    sign = -1 if (d + l) % 2 else 1
+    combined: dict[tuple[int, int], Fraction] = {}
+    for (k, i), coeff in poles.items():
+        if poles.get((-k, i), 0) != sign * coeff:
+            raise ArithmeticError("pole data violates hbar -> -hbar parity")
+        if k <= 0:
+            continue
+        # binom(b+i-1, i-1) = prod_{s=1}^{i-1}(b+s)/(i-1)! as a polynomial in
+        # b (index = power of b): expand one factor (b + s) at a time.
+        basis = [Fraction(scale * coeff, factorial(i - 1))]
+        for s in range(1, i):
+            basis = [s * a + c for a, c in zip(basis + [0], [0] + basis)]
+        for power, c in enumerate(basis):
+            combined[k, power + 1] = combined.get((k, power + 1), 0) + c
+    terms = tuple((k, i, c) for (k, i), c in combined.items() if c)
+    return GenusClosedForm(kind, mu, d + l - 2, normalization, terms)
+
+
 def monotone_closed_form(mu: Partition) -> GenusClosedForm:
     """Closed form with mu_1...mu_l * vecH_{g;mu} = sum coeff * b^{i-1} * k^b."""
     generating = npoint.monotone_generating(mu)
     decomposition = partial_fractions(generating)
     if recombine(decomposition) != generating:
         raise ArithmeticError("partial-fraction recombination mismatch")
-    d, l = mu.size, mu.length
-    sign = -1 if (d + l) % 2 else 1
-    by_pole: dict[int, dict[int, Fraction]] = {}
-    for (k, i), coeff in decomposition.terms.items():
-        mirror = decomposition.terms.get((-k, i), Fraction(0))
-        if mirror != sign * coeff:
-            raise ArithmeticError("pole data violates hbar -> -hbar parity")
-        if k > 0:
-            by_pole.setdefault(k, {})[i] = coeff
-    terms: list[tuple[int, int, Fraction]] = []
-    for k in sorted(by_pole, reverse=True):
-        # Sum_i C(k,i) x^{i-1} = 2 Sum_i D(k,i) prod_{s=1}^{i-1}(x+s)/(i-1)!
-        # as polynomials in x = b (index = power of x); expand each product
-        # one factor (x + s) at a time and read off monomials.
-        combined = [Fraction(0)] * max(by_pole[k])
-        for i, coeff in by_pole[k].items():
-            basis = [2 * coeff / factorial(i - 1)]
-            for s in range(1, i):
-                basis = [s * a + b for a, b in zip(basis + [0], [0] + basis)]
-            for power, c in enumerate(basis):
-                combined[power] += c
-        for power, c in enumerate(combined):
-            if c:
-                terms.append((k, power + 1, c))
-    return GenusClosedForm(
-        kind=KIND_MONOTONE,
-        mu=mu,
-        b_offset=d + l - 2,
-        normalization=Fraction(1, prod(mu.parts)),
-        terms=tuple(terms),
-    )
+    normalization = Fraction(1, prod(mu.parts))
+    return _fold(KIND_MONOTONE, mu, decomposition.terms, 2, normalization)
 
 
 def simple_closed_form(mu: Partition) -> GenusClosedForm:
     """Closed form with H_{g;mu} = 2/(d! mu_1...mu_l) * sum C(k) * k^b."""
-    exponential = npoint.simple_generating(mu)
-    d, l = mu.size, mu.length
-    sign = -1 if (d + l) % 2 else 1
-    scale = factorial(d) * prod(mu.parts)
-    terms: list[tuple[int, int, Fraction]] = []
-    for k, coeff in exponential.items():
-        if exponential.get(-k, 0) != sign * coeff:
-            raise ArithmeticError("exponential data violates hbar -> -hbar parity")
-        if k <= 0:
-            continue
-        c = scale * coeff
+    scale = factorial(mu.size) * prod(mu.parts)
+    poles = {(k, 1): coeff for k, coeff in npoint.simple_generating(mu).items()}
+    form = _fold(KIND_SIMPLE, mu, poles, scale, Fraction(2, scale))
+    for k, _, c in form.terms:
         if c.denominator != 1:
             raise ArithmeticError(f"non-integer coefficient C({mu};{k}) = {c}")
-        terms.append((k, 1, c))
-    return GenusClosedForm(
-        kind=KIND_SIMPLE,
-        mu=mu,
-        b_offset=d + l - 2,
-        normalization=Fraction(2, scale),
-        terms=tuple(terms),
-    )
+    return form
 
 
 def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:

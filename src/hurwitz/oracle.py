@@ -42,15 +42,9 @@ cycle type of sigma:
   products of connected counts.  The one-block term is N(sigma); every
   other term is a class function by induction, and so is the whole sum.
 
-Guards, set by measurement: d <= ORACLE_MAX_DEGREE = 8 and
-b <= ORACLE_MAX_BRANCH_POINTS = 12 unless forced.  Over every partition
-of 7 and 8 at b = 10, 11 and 12 in both kinds, the slowest query is simple
-(2,2,1,1,1,1) at b = 12: 3.3 to 4.9 s and 74 MB in a fresh process on a
-2-vCPU x86 machine under Python 3.11.  One step further, b = 13 takes
-5.5 s for (4,1,1,1,1) and d = 9 takes 8.1 s and 155 MB for (3,3,2,1) at
-b = 11.
 Nothing here shares machinery with the generating-function engine; that
-independence is the point.
+independence is the point.  Like the engine, the library takes any d and b;
+the command line caps both.
 """
 from __future__ import annotations
 
@@ -61,16 +55,10 @@ from math import factorial, prod
 from .partitions import Partition, aut_order
 
 __all__ = [
-    "ORACLE_MAX_DEGREE",
-    "ORACLE_MAX_BRANCH_POINTS",
-    "check_limits",
     "count_constellations",
     "oracle_count",
     "oracle_hurwitz",
 ]
-
-ORACLE_MAX_DEGREE = 8
-ORACLE_MAX_BRANCH_POINTS = 12
 
 Perm = tuple[int, ...]
 
@@ -89,29 +77,13 @@ def _cycle_count(perm: Perm) -> int:
     return count
 
 
-def check_limits(d: int, b: int, force: bool = False) -> None:
-    """Refuse a query of degree d with b slots beyond the guards, unless forced."""
-    if not force and d > ORACLE_MAX_DEGREE:
-        raise ValueError(
-            f"oracle search space too large: d = {d} > {ORACLE_MAX_DEGREE} (use --force)"
-        )
-    if not force and b > ORACLE_MAX_BRANCH_POINTS:
-        raise ValueError(
-            f"oracle search space too large: b = {b} > {ORACLE_MAX_BRANCH_POINTS}"
-            " (use --force)"
-        )
-
-
-def count_constellations(
-    mu: Partition, b: int, monotone: bool = False, force: bool = False
-) -> int:
+def count_constellations(mu: Partition, b: int, monotone: bool = False) -> int:
     """Exact number of tuples satisfying the constellation conditions."""
     d = mu.size
     if d < 1:
         raise ValueError("degree must be >= 1")
     if b < 0:
         raise ValueError("number of transposition slots must be >= 0")
-    check_limits(d, b, force)
     # (a, c, first index on offer after (a c)); monotone keeps c weakly rising
     transpositions = [
         (a, c, c * (c - 1) // 2 if monotone else 0) for c in range(1, d) for a in range(c)
@@ -155,9 +127,7 @@ def count_constellations(
     return factorial(d) // z_mu * walk(tuple(rho), tuple(labels), b, 0)
 
 
-def oracle_count(
-    mu: Partition, g: int, kind: str, force: bool = False
-) -> tuple[int, int, Fraction]:
+def oracle_count(mu: Partition, g: int, kind: str) -> tuple[int, int, Fraction]:
     """(b, constellation count, Hurwitz number) at b = 2g - 2 + d + l.
 
     The Hurwitz number is |Aut(mu)| / d! times the constellation count.
@@ -169,10 +139,10 @@ def oracle_count(
     b = 2 * g - 2 + mu.size + mu.length
     if b < 0:
         raise ValueError("2g - 2 + d + l must be >= 0")
-    count = count_constellations(mu, b, kind == "monotone", force=force)
+    count = count_constellations(mu, b, kind == "monotone")
     return b, count, Fraction(aut_order(mu) * count, factorial(mu.size))
 
 
-def oracle_hurwitz(mu: Partition, g: int, kind: str, force: bool = False) -> Fraction:
+def oracle_hurwitz(mu: Partition, g: int, kind: str) -> Fraction:
     """The exact Hurwitz number at genus g, counted by brute force."""
-    return oracle_count(mu, g, kind, force)[2]
+    return oracle_count(mu, g, kind)[2]

@@ -204,6 +204,19 @@ class TestOracleCommand:
         assert "too large" in err
         assert "d = 9 > 8 (use --force)" in err
 
+    def test_force_lifts_the_degree_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--kind", "simple", "--mu", "9", "--genus", "0", "--force"
+        )
+        assert code == 0
+        assert "count=192849310080 hurwitz=531441" in out
+
+    def test_guard_on_b(self, capsys):
+        result = run(capsys, "oracle", "--kind", "simple", "--mu", "2", "--genus", "6")
+        assert result == (
+            1, "", "error: oracle search space too large: b = 13 > 12 (use --force)\n"
+        )
+
     def test_counts_once_per_request(self, capsys, monkeypatch):
         calls = []
         real = oracle.count_constellations
@@ -249,6 +262,14 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "MISMATCH" in out
+
+    def test_force_lifts_the_branch_point_cap(self, capsys):
+        # (2) at genus 6 has b = 13
+        code, out, _ = run(
+            capsys, "verify", "--kind", "simple", "--mu", "2", "--genus-max", "6", "--force"
+        )
+        assert code == 0
+        assert "7/7 genera match" in out
 
     @pytest.mark.parametrize(
         "kind, mu, genus_max, b",
@@ -324,6 +345,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "eval", "--kind", "simple", "--mu", "x", "--genus", "0")
         assert code == 1
         assert "cannot parse partition" in err
+
+    @pytest.mark.parametrize("mu", ["1_0", "+3", "\u0663", "3,-2"])
+    def test_mu_takes_ascii_digits_only(self, capsys, mu):
+        result = run(capsys, "closed-form", "--kind", "simple", "--mu", mu)
+        assert result == (1, "", f"error: cannot parse partition from {mu!r}\n")
+
+    @pytest.mark.parametrize("mu", ["3,,2", " 3 , 2 ", "2,3,", ",3,2"])
+    def test_mu_skips_empty_pieces_and_spaces(self, capsys, mu):
+        code, out, _ = run(capsys, "closed-form", "--kind", "simple", "--mu", mu)
+        assert code == 0
+        assert "mu: 3,2\n" in out
 
     def test_engine_guard(self, capsys):
         code, _, err = run(

@@ -316,6 +316,13 @@ class TestSelfChecks:
         with pytest.raises(ArithmeticError, match="parity"):
             monotone_closed_form(part(3))
 
+    def test_simple_parity_violation_raises(self, monkeypatch):
+        # d = 2, l = 1: the sign is -1, so D(-1) = D(1) breaks parity
+        even = {1: F(1), -1: F(1)}
+        monkeypatch.setattr(npoint, "simple_generating", lambda mu: even)
+        with pytest.raises(ArithmeticError, match="parity"):
+            simple_closed_form(part(2))
+
     def test_non_integer_simple_coefficient_raises(self, monkeypatch):
         # d = 2, l = 1: odd parity, scale 2! * 2 = 4, so C(1) = 4/8
         halves = {1: F(1, 8), -1: F(-1, 8)}

@@ -88,3 +88,20 @@ def test_every_cache_is_hit_within_a_request():
             hits[name] += obj.cache_info().hits
     unhit = sorted(name for name in caches if not hits[name])
     assert not unhit, unhit
+
+
+def test_guards_live_only_in_the_cli():
+    # Caps and their override are command-line policy; the library is unguarded.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        text = path.read_text()
+        if "--force" in text:
+            offenders.append(f"{path.name}: --force")
+        offenders += [
+            f"{path.name}:{node.lineno}: parameter force"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.arg) and node.arg == "force"
+        ]
+    assert not offenders, offenders

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -114,18 +115,10 @@ class TestCountConstellations:
     def test_too_few_slots_counts_zero(self):
         assert count_constellations(part(4), 1, False) == 0
 
-    def test_guard_limits(self):
-        # the message names the limit and the override
-        with pytest.raises(
-            ValueError, match=r"oracle search space too large: d = 9 > 8 \(use --force\)"
-        ):
-            count_constellations(part(9), 1, False)
-        with pytest.raises(
-            ValueError, match=r"oracle search space too large: b = 13 > 12 \(use --force\)"
-        ):
-            count_constellations(part(2), 13, False)
-        # force overrides; mu = (9) with zero slots cannot close, count 0
-        assert count_constellations(part(9), 0, False, force=True) == 0
+    def test_no_cap_past_the_cli_guard(self):
+        # the caps are command-line policy; mu = (9) with zero slots cannot
+        # close, count 0
+        assert count_constellations(part(9), 0, False) == 0
 
     def test_matches_unpruned_enumeration(self):
         for d in range(1, 5):
@@ -164,6 +157,11 @@ class TestCountConstellations:
 
 
 class TestOracleHurwitz:
+    def test_genus_zero_past_the_cli_guard(self):
+        # d = 9 is past the CLI's oracle cap; the genus-0 formulas of one part
+        assert oracle_hurwitz(part(9), 0, "simple") == 9**6
+        assert oracle_hurwitz(part(9), 0, "monotone") == Fraction(comb(18, 9), 18 * 17)
+
     def test_simple_five_genus_zero(self):
         assert oracle_hurwitz(part(5), 0, "simple") == 25
 
