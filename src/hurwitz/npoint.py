@@ -1,8 +1,8 @@
 """Coefficient extraction from the connected n-point cycle-sum formula.
 
 For a profile mu with l parts, the target coefficient of
-z_1^{-mu_1-1} ... z_l^{-mu_l-1} is assembled by summing over the (l-1)!
-full cycles on {1..l} and, per cycle, over per-edge term choices.  Edge i
+z_1^{-mu_1-1} ... z_l^{-mu_l-1} is assembled by summing over the full
+cycles on {1..l} and, per cycle, over per-edge term choices.  Edge i
 joins the i-th and (i+1)-th vertices along the cycle and carries either
 
 * a principal term: one free exponent h >= 0, exponent -1-h on the
@@ -11,33 +11,44 @@ joins the i-th and (i+1)-th vertices along the cycle and carries either
 * an affine term with indices (n, m): exponents -n-1 on the tail variable
   and -m-1 on the head, weighted by the affine coordinate a_{n,m}.
 
-Requiring every vertex's two incident exponents to sum to -mu_v - 1 pins
-all h and n indices once the affine m indices are chosen, so the search
-space is a set of bounded compositions rather than a formal series ring.
-Walking the cycle, let s be the exponent at the last edge's head plus the
-part there; the next edge's tail must take -1-s.  A principal edge then
-has h = s when ascending (sign +1) or h = -1-s when descending (sign -1),
-and its head takes s either way: it fits exactly when it ascends if and
-only if s >= 0, so between affine edges the walk is forced.  An affine
-edge takes n = s, so it needs s >= 0, and its m is the only choice.
-The search keeps only what the weights read: the product of the principal
-signs, summed per multiset of affine (n, m) pairs.  The cycles are never
-listed: they are counted per edge sequence up to rotation, and each such
-class is searched once.
+Every vertex's two incident exponents must sum to -mu_v - 1, and only the
+product of the principal signs per multiset of affine (n, m) pairs reaches
+either tau-function's weight.  Cut the cycle after each affine edge into
+blocks.  In a block B entered with affine index m', the next edge's tail
+takes -1-s, where s = -m' - 1 plus B's parts so far: a principal edge
+hands s on to its head and fits iff it ascends when s >= 0 and descends
+when s < 0, and the affine edge leaving B takes n = s = mu(B) - 1 - m'.
+As s only grows, B's labels fall to its least label and rise after it: a
+V, fixed by the set L of labels before the least, balanced iff mu(L) <= m'
+< mu(L) + mu(min B), with sign (-1)^|L|.  Parts weakly decrease along the
+labels, so the least label carries B's largest part, top, and the signed
+count of V orders depends only on the number t_v of B's parts of each
+value v:
 
-For l = 1 the one cycle (1,) is the loop edge 1 -> 1.  The walk starts at
-an affine edge and the loop has no later position, so it closes with one
-affine pair (n, m), n + m = d - 1: exactly the plain diagonal sum of the
-one-point function.  For l = 2 the subtracted principal part
-1/(z_1 - z_2)^2 expands with only nonnegative powers of z_2, so it never
-reaches the target coefficient.
+    W(t, m') = sum_L (-1)^|L| prod_v C(t_v - [v = top], L_v)
+               [L.v <= m' < L.v + top].
+
+A cycle with its assignment is then the sequence of its blocks from the
+one that holds label 1, with affine indices m_0, m_1, ... between them.
+Block i has type t_i, enters with m_{i-1}, and contributes W(t_i, m_{i-1})
+and the pair (mu(t_i) - 1 - m_{i-1}, m_i), where m_k = m_0 closes the
+cycle.  A sequence of types counts once per way to deal out the labels:
+C(c_v, t_v) of the c_v labels with part v still left, except that the
+first block takes label 1, one of the largest parts.  A block entered with
+m holds more than m, so each m_i ranges below the parts still left.
+
+For l = 1 the loop edge 1 -> 1 is one block with one pair (n, m),
+n + m = d - 1: the plain diagonal sum of the one-point function.  For
+l = 2 the subtracted principal part 1/(z_1 - z_2)^2 expands with only
+nonnegative powers of z_2, so it never reaches the target coefficient.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import prod
+from functools import cache
+from itertools import permutations, product
+from math import comb, prod
 
 from .affine import monotone_affine, simple_affine
 from .exactarith import FactoredRationalFunction, common_denominator_sum
@@ -54,91 +65,66 @@ def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
     """All (l-1)! full cycles on {1..l}, as visiting sequences starting at 1.
 
     The engine does not call it; it stays because perfbench/tracer.py wraps
-    it by name.  The tests check ``_cycle_classes`` against it.
+    it by name.  The tests' reference walk lists its cycles from it.
     """
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
 
 
-def _signature_summaries(
-    ascending: tuple[bool, ...], head_mu: tuple[int, ...]
-) -> dict[tuple[tuple[int, int], ...], int]:
-    """Signed count of one edge sequence's balanced assignments per pair multiset.
-
-    Edge i runs small -> large when ascending[i] and has the part head_mu[i]
-    at its head.  Only the multiset of affine (n, m) pairs matters to either
-    tau-function's weight, so each balanced assignment adds the product of
-    its principal signs to its multiset's count; this is the kind-independent
-    core of the cycle sum.  The walk starts at the least affine edge (every
-    balanced assignment has one) with its m index m0 chosen and carries the
-    running sum s of the module docstring; each step adds the next head's
-    part to s + consumed, so s <= d - 1 throughout, and closing the cycle
-    fixes the starting edge's n index to s = d - consumed.  Returns a dict
-    pair multiset -> count.  Not cached: ``_weighted_pair_sums`` calls it
-    once per rotation class, and each request is one profile and one kind.
-    """
-    d, l = sum(head_mu), len(head_mu)
-    counts: dict[tuple[tuple[int, int], ...], int] = {}
-
-    def extend(pos, first, m0, r, consumed, sign, pairs) -> None:
-        q = (first + pos) % l
-        s = r + head_mu[q - 1]  # edge q's tail takes -1-s
-        if pos == l:
-            # never negative: the m ranges below keep consumed <= d
-            assert s == d - consumed, "vertex balances must consume degree d"
-            key = tuple(sorted(pairs + ((s, m0),)))
-            counts[key] = counts.get(key, 0) + sign
-            return
-        if ascending[q] == (s >= 0):  # principal: the head takes s
-            extend(pos + 1, first, m0, s, consumed, sign if s >= 0 else -sign, pairs)
-        if s >= 0 and q > first:  # affine (n, m) = (s, m)
-            for m in range(d - consumed - s):
-                extend(
-                    pos + 1, first, m0, -m - 1, consumed + s + m + 1,
-                    sign, pairs + ((s, m),),
-                )
-
-    for first in range(l):
-        for m0 in range(d):
-            extend(1, first, m0, -m0 - 1, m0 + 1, 1, ())
-    return counts
-
-
-def _cycle_classes(parts: tuple[int, ...]) -> Counter:
-    """Number of full cycles on {1..l} per edge sequence, up to rotation.
-
-    Keys are least rotations of the (ascending, head parts) pair that
-    ``_signature_summaries`` takes.  Each cycle on labels {x..l} arises once
-    from a cycle on {x+1..l} by putting x on one edge t -> h, which becomes
-    t -> x (descending, head mu_x) and x -> h (ascending, head mu_h); so the
-    labels l-1, ..., 1 go in at every position of each class, in turn.
-    """
-    classes = Counter({((False,), parts[-1:]): 1})
-    for part in reversed(parts[:-1]):
-        grown: Counter = Counter()
-        for (asc, heads), n_cycles in classes.items():
-            for j in range(len(asc)):
-                a = asc[:j] + (False, True) + asc[j + 1:]
-                h = heads[:j] + (part,) + heads[j:]
-                grown[min((a[r:] + a[:r], h[r:] + h[:r]) for r in range(len(a)))] += n_cycles
-        classes = grown
-    return classes
+def _block_weight(values: tuple[int, ...], t: tuple[int, ...], m: int) -> int:
+    """W(t, m) of the module docstring; t[i] parts of value values[i], decreasing."""
+    top = next(v for v, count in zip(values, t) if count)
+    free = [count - (v == top) for v, count in zip(values, t)]
+    total = 0
+    for before in product(*(range(count + 1) for count in free)):
+        below = sum(v * k for v, k in zip(values, before))
+        if below <= m < below + top:
+            total += (-1) ** sum(before) * prod(map(comb, free, before))
+    return total
 
 
 def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
     """Total signed multiplicity of each affine (n, m) pair multiset.
 
-    Sums over all (l-1)! cycles and all balanced assignments, folding in
-    the global (-1)^{l-1}.  Cycles that share an edge sequence up to
-    rotation share one summary, so each class from ``_cycle_classes`` is
-    summarized once and scaled by its number of cycles.
+    Sums the block sequences of the module docstring over every m_0 and
+    folds in the global (-1)^{l-1}; multisets whose total is zero are left
+    out.  The block choices of each (parts left, m) are found once.
     """
+    values = tuple(sorted(set(mu.parts), reverse=True))
+    counts = tuple(mu.parts.count(v) for v in values)
+    unpinned = (0,) * len(values)
+    anchor = (1,) + unpinned[1:]  # label 1 takes one of the largest parts
+
+    def size(t: tuple[int, ...]) -> int:
+        return sum(v * k for v, k in zip(values, t))
+
+    @cache
+    def blocks(left: tuple[int, ...], m: int, pinned: tuple[int, ...]):
+        # (parts left after the block, its n, their size, weight times ways)
+        choices = []
+        for t in product(*(range(a, k + 1) for a, k in zip(pinned, left))):
+            weight = _block_weight(values, t, m) if size(t) > m else 0
+            if weight:
+                ways = prod(comb(k - a, j - a) for k, j, a in zip(left, t, pinned))
+                rest = tuple(k - j for k, j in zip(left, t))
+                choices.append((rest, size(t) - 1 - m, size(rest), weight * ways))
+        return choices
+
     global_sign = -1 if mu.length % 2 == 0 else 1
     out: dict[tuple[tuple[int, int], ...], int] = {}
-    for signature, n_cycles in _cycle_classes(mu.parts).items():
-        scale = global_sign * n_cycles
-        for pairs, count in _signature_summaries(*signature).items():
-            out[pairs] = out.get(pairs, 0) + scale * count
-    return out
+    # (parts left, m entering the next block, pinned, m_0, pairs so far, weight)
+    stack = [(counts, m0, anchor, m0, (), global_sign) for m0 in range(mu.size)]
+    while stack:
+        left, m, pinned, m0, pairs, weight = stack.pop()
+        for rest, n, rest_size, w in blocks(left, m, pinned):
+            if rest_size:
+                for m_next in range(rest_size):
+                    stack.append(
+                        (rest, m_next, unpinned, m0, pairs + ((n, m_next),), weight * w)
+                    )
+            else:
+                key = tuple(sorted(pairs + ((n, m0),)))
+                out[key] = out.get(key, 0) + weight * w
+    return {pairs: total for pairs, total in out.items() if total}
 
 
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:

@@ -8,10 +8,14 @@ map is {k: multiplicity}.  ``int_poly`` carries such a tuple into the
 integer ``Poly`` that exactarith takes.  ``ref_cycle_classes`` is the
 cycle count npoint ran before its label-insertion recurrence: list every
 cycle, then count edge sequences under their least rotation.
-``conjugate`` and ``hook_product`` are the Young-diagram helpers that the
-partition and affine tests check against.  ``ref_evaluate`` is the one-genus
-evaluation closedform ran before its values were carried from row to row:
-every k^b computed afresh from the terms.
+``_signature_summaries`` and ``_cycle_classes`` are the walk npoint ran
+before its block sum: ``ref_weighted_pair_sums`` walks each edge sequence
+up to rotation once and scales it by its number of cycles, zero totals
+included.  ``conjugate`` and ``hook_product`` are the Young-diagram
+helpers that the partition and affine tests check against.
+``ref_evaluate`` is the one-genus evaluation closedform ran before its
+values were carried from row to row: every k^b computed afresh from the
+terms.
 """
 from collections import Counter
 from fractions import Fraction
@@ -166,6 +170,82 @@ def ref_cycle_classes(parts):
         asc, heads = edge_sequence(cycle, parts)
         classes[min((asc[r:] + asc[:r], heads[r:] + heads[:r]) for r in range(len(asc)))] += 1
     return classes
+
+
+def _signature_summaries(
+    ascending: tuple[bool, ...], head_mu: tuple[int, ...]
+) -> dict[tuple[tuple[int, int], ...], int]:
+    """Signed count of one edge sequence's balanced assignments per pair multiset.
+
+    Edge i runs small -> large when ascending[i] and has the part head_mu[i]
+    at its head.  Only the multiset of affine (n, m) pairs matters to either
+    tau-function's weight, so each balanced assignment adds the product of
+    its principal signs to its multiset's count; this is the kind-independent
+    core of the cycle sum.  The walk starts at the least affine edge (every
+    balanced assignment has one) with its m index m0 chosen and carries the
+    running sum s of npoint's module docstring; each step adds the next head's
+    part to s + consumed, so s <= d - 1 throughout, and closing the cycle
+    fixes the starting edge's n index to s = d - consumed.  Returns a dict
+    pair multiset -> count.  Not cached: ``ref_weighted_pair_sums`` calls
+    it once per rotation class, and each request is one profile and one kind.
+    """
+    d, l = sum(head_mu), len(head_mu)
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
+
+    def extend(pos, first, m0, r, consumed, sign, pairs) -> None:
+        q = (first + pos) % l
+        s = r + head_mu[q - 1]  # edge q's tail takes -1-s
+        if pos == l:
+            # never negative: the m ranges below keep consumed <= d
+            assert s == d - consumed, "vertex balances must consume degree d"
+            key = tuple(sorted(pairs + ((s, m0),)))
+            counts[key] = counts.get(key, 0) + sign
+            return
+        if ascending[q] == (s >= 0):  # principal: the head takes s
+            extend(pos + 1, first, m0, s, consumed, sign if s >= 0 else -sign, pairs)
+        if s >= 0 and q > first:  # affine (n, m) = (s, m)
+            for m in range(d - consumed - s):
+                extend(
+                    pos + 1, first, m0, -m - 1, consumed + s + m + 1,
+                    sign, pairs + ((s, m),),
+                )
+
+    for first in range(l):
+        for m0 in range(d):
+            extend(1, first, m0, -m0 - 1, m0 + 1, 1, ())
+    return counts
+
+
+def _cycle_classes(parts: tuple[int, ...]) -> Counter:
+    """Number of full cycles on {1..l} per edge sequence, up to rotation.
+
+    Keys are least rotations of the (ascending, head parts) pair that
+    ``_signature_summaries`` takes.  Each cycle on labels {x..l} arises once
+    from a cycle on {x+1..l} by putting x on one edge t -> h, which becomes
+    t -> x (descending, head mu_x) and x -> h (ascending, head mu_h); so the
+    labels l-1, ..., 1 go in at every position of each class, in turn.
+    """
+    classes = Counter({((False,), parts[-1:]): 1})
+    for part in reversed(parts[:-1]):
+        grown: Counter = Counter()
+        for (asc, heads), n_cycles in classes.items():
+            for j in range(len(asc)):
+                a = asc[:j] + (False, True) + asc[j + 1:]
+                h = heads[:j] + (part,) + heads[j:]
+                grown[min((a[r:] + a[:r], h[r:] + h[:r]) for r in range(len(a)))] += n_cycles
+        classes = grown
+    return classes
+
+
+def ref_weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
+    """Every pair multiset's total over the classes, with (-1)^{l-1} folded in."""
+    global_sign = -1 if mu.length % 2 == 0 else 1
+    out: dict[tuple[tuple[int, int], ...], int] = {}
+    for signature, n_cycles in _cycle_classes(mu.parts).items():
+        scale = global_sign * n_cycles
+        for pairs, count in _signature_summaries(*signature).items():
+            out[pairs] = out.get(pairs, 0) + scale * count
+    return out
 
 
 def conjugate(mu: Partition) -> Partition:

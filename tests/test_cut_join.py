@@ -17,9 +17,11 @@ partition of every d <= D only if the engine is right at every genus for
 all |mu| <= D.  It leaves the hbar^0 term free, which sum_k D(mu;k) = 0
 pins.
 """
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, prod
 
 from hurwitz.npoint import simple_generating
 from hurwitz.partitions import Partition, partitions_of
@@ -41,7 +43,7 @@ def add(acc, terms, scale):
         acc[k] = acc.get(k, 0) + scale * c
 
 
-def product(f, g):
+def convolve(f, g):
     out = {}
     for k1, c1 in f.items():
         for k2, c2 in g.items():
@@ -57,23 +59,25 @@ def cut_and_join(parts):
         add(out, of(rest + [parts[i] + parts[j]]), parts[i] + parts[j])
     for i in range(l):
         others = parts[:i] + parts[i + 1:]
+        # the split of the other parts, grouped by how many of each value go first
+        values = Counter(others)
         for a in range(1, parts[i]):
             c = parts[i] - a
             weight = Fraction(a * c, 2)
             add(out, of(others + (a, c)), weight)
-            for size in range(l):
-                for chosen in combinations(range(l - 1), size):
-                    first = [a] + [others[q] for q in chosen]
-                    second = [c] + [others[q] for q in range(l - 1) if q not in chosen]
-                    add(out, product(of(first), of(second)), weight)
+            for taken in product(*(range(k + 1) for k in values.values())):
+                first = Counter(dict(zip(values, taken)))
+                ways = prod(map(comb, values.values(), taken))
+                pair = of([a, *first.elements()]), of([c, *(values - first).elements()])
+                add(out, convolve(*pair), weight * ways)
     return {k: v for k, v in out.items() if v}
 
 
-PROFILES = [mu for d in range(2, 11) for mu in partitions_of(d)]
+PROFILES = [mu for d in range(2, 12) for mu in partitions_of(d)]
 
 
 def test_cut_and_join_holds_at_every_genus():
-    assert len(PROFILES) == 137
+    assert len(PROFILES) == 193
     for mu in PROFILES:
         derivative = {k: k * c for k, c in generating(mu.parts).items() if k}
         assert derivative == cut_and_join(mu.parts), mu.parts

@@ -1,14 +1,13 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
-    _cycle_classes,
-    _signature_summaries,
+    _block_weight,
     _weighted_pair_sums,
     enumerate_cycles,
     monotone_generating,
@@ -17,7 +16,16 @@ from hurwitz.npoint import (
 from hurwitz.oracle import oracle_hurwitz
 from hurwitz.partitions import Partition, partitions_of
 
-from dense_reference import as_pair, edge_sequence, ref_cycle_classes, ref_flip, ref_taylor
+from dense_reference import (
+    _cycle_classes,
+    _signature_summaries,
+    as_pair,
+    edge_sequence,
+    ref_cycle_classes,
+    ref_flip,
+    ref_taylor,
+    ref_weighted_pair_sums,
+)
 
 
 def part(*parts):
@@ -112,7 +120,7 @@ class TestSignatureSummaries:
                 assert sum(n + m + 1 for n, m in pairs) == mu.size
 
     def test_rotations_share_one_summary(self):
-        # _weighted_pair_sums counts each edge sequence under its least
+        # the reference walk counts each edge sequence under its least
         # rotation, which is sound only if every rotation sums alike; many
         # cycles share an edge sequence, so each is summarized once here
         summary = cache(_signature_summaries)
@@ -129,22 +137,60 @@ class TestSignatureSummaries:
         assert checked == 7225
 
 
+def pair_sums_digest(pair_sums):
+    """sha256 over every partition with |mu| <= 9 of its sorted pair sums.
+
+    Values are rendered with str so that Fraction(3) and 3 read alike.
+    """
+    lines = []
+    for d in range(1, 10):
+        for mu in partitions_of(d):
+            items = sorted(pair_sums(mu).items())
+            lines.append(f"{mu.parts} {[(pairs, str(v)) for pairs, v in items]}")
+    assert len(lines) == 96
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestBlockWeight:
+    def test_one_part(self):
+        # a lone part p: no labels before the least, so 0 <= m < p balances
+        for p in range(1, 7):
+            assert [_block_weight((p,), (1,), m) for m in range(p + 2)] == [1] * p + [0, 0]
+
+    def test_run_of_ones(self):
+        # k ones: exactly m of the other k - 1 labels come first, sign (-1)^m
+        for k in range(1, 8):
+            expected = [(-1) ** m * comb(k - 1, m) for m in range(k)] + [0]
+            assert [_block_weight((1,), (k,), m) for m in range(k + 1)] == expected
+
+    def test_top_part_leads_with_several_values(self):
+        # (3, 1): the 3 is the least label; the 1 after it gives +1 at
+        # m = 0, 1, 2 and before it -1 at m = 1, 2, 3
+        assert [_block_weight((3, 1), (1, 1), m) for m in range(5)] == [1, 0, 0, -1, 0]
+
+
 class TestWeightedPairSums:
     def test_one_part_is_the_diagonal_sum(self):
         # the loop edge 1 -> 1 closes with one affine pair, n + m = d - 1
         assert _weighted_pair_sums(part(4)) == {((n, 3 - n),): 1 for n in range(4)}
 
-    def test_pinned_for_degree_nine(self):
-        # sha256 over every partition with |mu| <= 9, zero totals included;
-        # values are rendered with str so that Fraction(3) and 3 read alike
-        lines = []
+    def test_equals_the_reference_walk(self):
+        # the block sum keeps every nonzero total of the walk over cycles,
+        # and no zero one
         for d in range(1, 10):
             for mu in partitions_of(d):
-                items = sorted(_weighted_pair_sums(mu).items())
-                lines.append(f"{mu.parts} {[(pairs, str(v)) for pairs, v in items]}")
-        assert len(lines) == 96
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "0ef9a7c174880e3ddab2f0691cbcabdc6825512875017311fdf4cd48f0496235"
+                walk = {pairs: v for pairs, v in ref_weighted_pair_sums(mu).items() if v}
+                assert _weighted_pair_sums(mu) == walk, mu
+
+    def test_pinned_for_degree_nine(self):
+        # the walk keeps 1087 zero totals, the engine none; dropping them
+        # from the walk gives the engine's digest
+        assert pair_sums_digest(ref_weighted_pair_sums) == (
+            "0ef9a7c174880e3ddab2f0691cbcabdc6825512875017311fdf4cd48f0496235"
+        )
+        assert pair_sums_digest(_weighted_pair_sums) == (
+            "4e69a0e38be3b9100e89cd3ac825a5b405b3d0ac80cf1ece825b619ad1941716"
+        )
 
 
 class TestMonotoneGenerating:

@@ -20,9 +20,10 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 CASES = [
     (
+        # affine.calls: one per pair of each multiset with a nonzero pair sum
         "closed-form --kind monotone --mu 4,4,2,2 --format json",
         {
-            "affine.calls": 890,
+            "affine.calls": 768,
             "closedform.terms": 20,
             "exactarith.pf_terms": 40,
             "npoint.numerator_degree": 32,
@@ -42,7 +43,7 @@ CASES = [
     ),
     (
         "closed-form --kind simple --mu 4,2,1 --format json",
-        {"affine.calls": 105, "closedform.terms": 8},
+        {"affine.calls": 78, "closedform.terms": 8},
     ),
     (
         "oracle --kind simple --mu 3 --genus 0",
