@@ -394,17 +394,22 @@ def main(argv=None) -> int:
             option, dest, least = args.bound
             if getattr(args, dest) < least:
                 raise ValueError(f"{option} must be >= {least}")
-        document = args.handler(args)
+        try:
+            document = args.handler(args)
+        except RecursionError:
+            # a forced oracle query: its memoized walk recurses once per slot
+            raise ValueError("recursion too deep for this request") from None
         rendered = _render(document, args.format)
-        if args.output:
-            try:
+        try:
+            if args.output:
                 with open(args.output, "w", encoding="utf-8") as handle:
                     handle.write(rendered)
-            except OSError as exc:
-                reason = exc.strerror or exc
-                raise ValueError(f"cannot write {args.output}: {reason}") from None
-        else:
-            sys.stdout.write(rendered)
+            else:
+                sys.stdout.write(rendered)
+                sys.stdout.flush()
+        except OSError as exc:
+            target = args.output or "stdout"
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from None
         return document.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,18 +224,12 @@ def asymptotics(form: GenusClosedForm) -> tuple[AsymptoticTerm, ...]:
     """Terms in dominance order; the structure-theorem heads are flagged.
 
     Simple forms flag every term with k >= (d-1 choose 2) (the two-term
-    large-genus expansion); monotone forms flag the k = d-1 term.
+    large-genus expansion); monotone forms flag the k = d-1 terms.  Monotone
+    poles stop at k = d-1, so both rules read k >= cutoff.
     """
     d = form.mu.size
-    cutoff = (d - 1) * (d - 2) // 2
-    out = []
-    for k, i, coeff in form.terms:
-        if form.kind == KIND_SIMPLE:
-            leading = k >= cutoff
-        else:
-            leading = k == d - 1
-        out.append(AsymptoticTerm(k, i, coeff, leading))
-    return tuple(out)
+    cutoff = (d - 1) * (d - 2) // 2 if form.kind == KIND_SIMPLE else d - 1
+    return tuple(AsymptoticTerm(k, i, c, k >= cutoff) for k, i, c in form.terms)
 
 
 def to_json_dict(form: GenusClosedForm) -> dict:

@@ -80,13 +80,6 @@ def _horner_at_inverse(a: list[int], k: int) -> int:
     return acc
 
 
-def _mul_linear(a: list[int], k: int) -> None:
-    """Multiply a by (1 - k*hbar) in place; a gains one coefficient."""
-    a.append(0)
-    for j in range(len(a) - 1, 0, -1):
-        a[j] -= k * a[j - 1]
-
-
 def _divide_linear(a: list[int], k: int) -> list[int]:
     """Exact quotient by (1 - k*hbar); raises if a remainder is left."""
     if not a:
@@ -105,8 +98,10 @@ def _expand(factors: dict[int, int]) -> list[int]:
     """prod_k (1 - k*hbar)^{e_k} as an integer coefficient list."""
     out = [1]
     for k, e in factors.items():
-        for _ in range(e):
-            _mul_linear(out, k)
+        for _ in range(e):  # times (1 - k*hbar), in place
+            out.append(0)
+            for j in range(len(out) - 1, 0, -1):
+                out[j] -= k * out[j - 1]
     return out
 
 
@@ -159,8 +154,8 @@ def common_denominator_sum(terms) -> FactoredRationalFunction:
     """Exact sum of c / prod_k (1 - k*hbar)^{e_k} terms.
 
     ``terms`` yields (rational c, factor multiplicity map) pairs; every c
-    is brought to the lcm of their denominators, multiplied by its deficit
-    factors and added into one integer accumulator.
+    is brought to the lcm of their denominators, multiplied by the expansion
+    of its deficit factors and added into one integer accumulator.
     """
     terms = [(c, factors) for c, factors in terms if c]
     common: dict[int, int] = {}
@@ -170,12 +165,10 @@ def common_denominator_sum(terms) -> FactoredRationalFunction:
     den = lcm(*(c.denominator for c, _ in terms))
     total = [0] * (1 + sum(common.values()))
     for c, factors in terms:
-        poly = [c.numerator * (den // c.denominator)]
-        for k, e in common.items():
-            for _ in range(e - factors.get(k, 0)):
-                _mul_linear(poly, k)
-        for j, a in enumerate(poly):
-            total[j] += a
+        scale = c.numerator * (den // c.denominator)
+        deficit = _expand({k: e - factors.get(k, 0) for k, e in common.items()})
+        for j, a in enumerate(deficit):
+            total[j] += scale * a
     return FactoredRationalFunction(Poly(tuple(total), den), common)
 
 

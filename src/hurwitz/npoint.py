@@ -127,23 +127,24 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]
     return {pairs: total for pairs, total in out.items() if total}
 
 
+def _weighted_terms(mu: Partition, affine):
+    """Per pair multiset: (each pair's affine hbar data, total times prefactors)."""
+    if mu.size < 2:
+        raise ValueError("degree must be >= 2")
+    for pairs, total in _weighted_pair_sums(mu).items():
+        data, prefactors = zip(*(affine(n, m) for n, m in pairs))
+        yield data, prod(prefactors, start=total)
+
+
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     """The rational function mu_1...mu_l * sum_g hbar^{2g-2+d+l} vecH_{g;mu}.
 
     Poles sit only at hbar = 1/k for 1 <= |k| <= d-1; the reduced pole
     order at 1/k never exceeds min(l, (d-1)//|k|).
     """
-    if mu.size < 2:
-        raise ValueError("degree must be >= 2")
     accumulated: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for pairs, total in _weighted_pair_sums(mu).items():
-        coeff = total
-        factors: Counter = Counter()
-        for n, m in pairs:
-            keys, c = monotone_affine(n, m)
-            coeff *= c
-            factors.update(keys)
-        key = tuple(sorted(factors.items()))
+    for pole_keys, coeff in _weighted_terms(mu, monotone_affine):
+        key = tuple(sorted(Counter(k for keys in pole_keys for k in keys).items()))
         accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
     return common_denominator_sum((c, dict(key)) for key, c in accumulated.items())
 
@@ -156,16 +157,9 @@ def simple_generating(mu: Partition) -> dict[int, Fraction]:
     Support is contained in |k| <= d(d-1)/2 and obeys the parity
     D(mu;k) = (-1)^{d+l} D(mu;-k).
     """
-    if mu.size < 2:
-        raise ValueError("degree must be >= 2")
     accumulated: dict[int, Fraction] = {}
-    for pairs, total in _weighted_pair_sums(mu).items():
-        coeff = total
-        exponent = 0
-        for n, m in pairs:
-            k, c = simple_affine(n, m)
-            coeff *= c
-            exponent += k
-        accumulated[exponent] = accumulated.get(exponent, Fraction(0)) + coeff
+    for exponents, coeff in _weighted_terms(mu, simple_affine):
+        k = sum(exponents)
+        accumulated[k] = accumulated.get(k, Fraction(0)) + coeff
     scale = Fraction(1, prod(mu.parts))
     return {k: c * scale for k, c in sorted(accumulated.items()) if c}

@@ -7,7 +7,7 @@ partition is allowed and has size and length zero.  Everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from operator import index
 
 __all__ = ["Partition", "partitions_of", "aut_order"]
@@ -41,13 +41,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def multiplicities(self) -> dict[int, int]:
-        """Map part value -> number of occurrences, derived on demand."""
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -73,8 +66,5 @@ def partitions_of(d: int) -> list[Partition]:
 
 def aut_order(mu: Partition) -> int:
     """Order of the part-permutation group: product of multiplicity factorials."""
-    out = 1
-    for count in mu.multiplicities().values():
-        out *= factorial(count)
-    return out
+    return prod(factorial(mu.parts.count(p)) for p in set(mu.parts))
 

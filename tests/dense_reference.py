@@ -15,11 +15,15 @@ included.  ``conjugate`` and ``hook_product`` are the Young-diagram
 helpers that the partition and affine tests check against.
 ``ref_evaluate`` is the one-genus evaluation closedform ran before its
 values were carried from row to row: every k^b computed afresh from the
-terms.
+terms.  ``tau_correlator`` is the Witten-Kontsevich intersection number
+<tau_{k_1} ... tau_{k_n}>_g by the DVV recursion, for the polynomiality
+anchors.
 """
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from itertools import product
+from math import lcm, prod
 
 from hurwitz.exactarith import Poly
 from hurwitz.npoint import enumerate_cycles
@@ -279,3 +283,44 @@ def ref_evaluate(form, g):
         c.numerator * (den // c.denominator) * b ** (i - 1) * k**b for k, i, c in form.terms
     )
     return form.normalization * Fraction(total, den)
+
+
+def _double_factorial(n: int) -> int:
+    """n!! for odd n >= -1, with (-1)!! = 1."""
+    return prod(range(n, 0, -2))
+
+
+_TAU_SEEDS = {(0, (0, 0, 0)): Fraction(1), (1, (1,)): Fraction(1, 24)}
+
+
+@cache
+def tau_correlator(g: int, ks: tuple[int, ...]) -> Fraction:
+    """<tau_{k_1} ... tau_{k_n}>_g by the Dijkgraaf-Verlinde-Verlinde recursion.
+
+    ``ks`` is sorted increasing.  Zero unless sum k = 3g - 3 + n; the seeds
+    are <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  The largest index k + 1 is
+    removed:  (2k+3)!! <tau_{k+1} tau_S>_g =
+        sum_j (2k+2k_j+1)!!/(2k_j-1)!! <tau_{k+k_j} tau_{S-j}>_g
+      + 1/2 sum_{r+s=k-1} (2r+1)!!(2s+1)!! (<tau_r tau_s tau_S>_{g-1}
+            + sum_{g1+g2=g, I+J=S} <tau_r tau_I>_{g1} <tau_s tau_J>_{g2}).
+    """
+    if g < 0 or not ks or ks[0] < 0 or sum(ks) != 3 * g - 3 + len(ks):
+        return Fraction(0)
+    if (g, ks) in _TAU_SEEDS:
+        return _TAU_SEEDS[g, ks]
+    df = _double_factorial
+    k, rest = ks[-1] - 1, ks[:-1]
+    total = Fraction(0)
+    for j, kj in enumerate(rest):
+        others = rest[:j] + rest[j + 1 :]
+        weight = Fraction(df(2 * k + 2 * kj + 1), df(2 * kj - 1))
+        total += weight * tau_correlator(g, tuple(sorted(others + (k + kj,))))
+    for r in range(k):
+        s = k - 1 - r
+        half = Fraction(df(2 * r + 1) * df(2 * s + 1), 2)
+        total += half * tau_correlator(g - 1, tuple(sorted(rest + (r, s))))
+        for g1, side in product(range(g + 1), product((0, 1), repeat=len(rest))):
+            left = tuple(sorted([r, *(x for x, b in zip(rest, side) if b)]))
+            right = tuple(sorted([s, *(x for x, b in zip(rest, side) if not b)]))
+            total += half * tau_correlator(g1, left) * tau_correlator(g - g1, right)
+    return total / df(2 * k + 3)

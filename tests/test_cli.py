@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -82,6 +84,21 @@ class TestClosedFormCommand:
         assert out == ""
         assert err.startswith("error: cannot write ")
         assert "Traceback" not in err
+
+    def test_failed_stdout_write_is_an_error_line(self, capsys, monkeypatch):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(["eval", "--kind", "simple", "--mu", "4", "--genus", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        )
 
 
 class TestEvalCommand:
@@ -216,6 +233,13 @@ class TestOracleCommand:
         assert result == (
             1, "", "error: oracle search space too large: b = 13 > 12 (use --force)\n"
         )
+
+    def test_forced_deep_query_is_an_error_line(self, capsys):
+        # b = 501 slots: the memoized walk recurses once per slot
+        result = run(
+            capsys, "oracle", "--kind", "simple", "--mu", "2", "--genus", "250", "--force"
+        )
+        assert result == (1, "", "error: recursion too deep for this request\n")
 
     def test_counts_once_per_request(self, capsys, monkeypatch):
         calls = []

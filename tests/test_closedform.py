@@ -279,6 +279,20 @@ class TestAsymptotics:
         keys = [(t.k, t.i) for t in terms]
         assert keys == sorted(keys, key=lambda t: (-t[0], -t[1]))
 
+    @pytest.mark.parametrize("kind", ["simple", "monotone"])
+    def test_flags_follow_each_kind_rule(self, closed_forms, kind):
+        # asymptotics reads both rules as k >= cutoff; for the monotone kind
+        # that is k = d-1 only because no monotone pole lies beyond d-1
+        for d in range(2, 9):
+            for mu in partitions_of(d):
+                terms = asymptotics(closed_forms[kind](mu))
+                if kind == "simple":
+                    expected = [t.k >= (d - 1) * (d - 2) // 2 for t in terms]
+                else:
+                    assert all(t.k <= d - 1 for t in terms), mu.parts
+                    expected = [t.k == d - 1 for t in terms]
+                assert [t.leading for t in terms] == expected, mu.parts
+
 
 class TestSerialization:
     def test_json_round_trip_small(self):

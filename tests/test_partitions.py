@@ -59,9 +59,6 @@ class TestPartitionType:
     def test_canonical_sorts(self):
         assert Partition.canonical([1, 3, 2]) == part(3, 2, 1)
 
-    def test_multiplicities(self):
-        assert part(2, 2, 1, 1, 1).multiplicities() == {2: 2, 1: 3}
-
 
 class TestPartitionsOf:
     def test_zero(self):
