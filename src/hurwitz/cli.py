@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from . import closedform, oracle
 from .closedform import GenusClosedForm
 from .exactarith import format_rational
-from .partitions import Partition, partitions_of
+from .partitions import Partition, branch_points, partitions_of
 
 __all__ = ["main", "entry"]
 
@@ -88,9 +88,8 @@ def _engine_guard(size: int, length: int, force: bool) -> None:
 
 def _oracle_guard(mu: Partition, genus: int, force: bool) -> None:
     what = "oracle search space too large"
-    b = 2 * genus + mu.size + mu.length - 2
     _limit(what, "d", mu.size, ORACLE_MAX_DEGREE, force)
-    _limit(what, "b", b, ORACLE_MAX_BRANCH_POINTS, force)
+    _limit(what, "b", branch_points(mu, genus), ORACLE_MAX_BRANCH_POINTS, force)
 
 
 def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
@@ -98,7 +97,7 @@ def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
         return
     total = 0
     for g in genera:
-        total += (2 * g + mu.size + mu.length - 2) ** 2
+        total += branch_points(mu, g) ** 2
         if total > GENUS_MAX_B_SQUARES:
             raise ValueError(
                 f"genus guard: sum of b^2 over the genera > {GENUS_MAX_B_SQUARES}"
@@ -113,15 +112,15 @@ def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
     return closedform.simple_closed_form(mu)
 
 
-def _decimal_string(exact: str, digits: int = 6) -> str:
-    """Display-only rendering of a "p/q" or "p" to a fixed number of significant digits.
+def _decimal_string(exact: str) -> str:
+    """Display-only rendering of a "p/q" or "p" to six significant digits.
 
     Decimal reads the digits exactly, in time linear in their count, so the
     big integers are not converted to decimal a second time.
     """
     numerator, _, denominator = exact.partition("/")
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 6
         return str(Decimal(numerator) / Decimal(denominator or 1))
 
 
@@ -202,7 +201,7 @@ def _cmd_eval(args) -> _Document:
         "kind": args.kind,
         "mu": list(mu.parts),
         "genus": args.genus,
-        "b": 2 * args.genus + form.b_offset,
+        "b": branch_points(mu, args.genus),
         "value": format_rational(closedform.evaluate(form, args.genus)),
     }
     return _Document(
@@ -220,7 +219,7 @@ def _cmd_table(args) -> _Document:
         rows.append(
             {
                 "g": g,
-                "b": 2 * g + form.b_offset,
+                "b": branch_points(mu, g),
                 "value": exact,
                 "decimal": _decimal_string(exact),
             }
@@ -236,12 +235,12 @@ def _cmd_table(args) -> _Document:
 def _cmd_oracle(args) -> _Document:
     mu = _parse_mu(args.mu)
     _oracle_guard(mu, args.genus, args.force)
-    b, count, value = oracle.oracle_count(mu, args.genus, args.kind)
+    count, value = oracle.oracle_count(mu, args.genus, args.kind)
     payload = {
         "kind": args.kind,
         "mu": list(mu.parts),
         "genus": args.genus,
-        "b": b,
+        "b": branch_points(mu, args.genus),
         "count": count,
         "hurwitz": format_rational(value),
     }
@@ -336,7 +335,7 @@ def _cmd_asymptotics(args) -> _Document:
     payload = {
         "kind": args.kind,
         "mu": list(mu.parts),
-        "b_offset": form.b_offset,
+        "b_offset": branch_points(mu, 0),
         "terms": terms,
     }
     head = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "terms by dominance:"]

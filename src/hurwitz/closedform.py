@@ -1,7 +1,7 @@
 """Genus-closed forms: the finite data that evaluates to any-genus counts.
 
 A closed form is a list of terms (k, i, coeff) plus a normalization; with
-b = 2g + b_offset the value at genus g is
+b = branch_points(mu, g) the value at genus g is
 
     normalization * sum over terms of coeff * b^{i-1} * k^b.
 
@@ -22,7 +22,7 @@ from typing import Iterator
 
 from . import npoint
 from .exactarith import format_rational, partial_fractions, recombine
-from .partitions import Partition
+from .partitions import Partition, branch_points
 
 __all__ = [
     "GenusClosedForm",
@@ -44,11 +44,10 @@ KIND_SIMPLE = "simple"
 
 @dataclass(frozen=True)
 class GenusClosedForm:
-    """Terms (k, i, coeff) in dominance order (k desc, then i desc)."""
+    """Terms (k, i, coeff), k desc then i desc, at b = branch_points(mu, g)."""
 
     kind: str
     mu: Partition
-    b_offset: int
     normalization: Fraction
     terms: tuple[tuple[int, int, Fraction], ...]
 
@@ -109,12 +108,11 @@ def _fold(
 ) -> GenusClosedForm:
     """Fold the poles D(k, i) at -k into k by hbar -> -hbar parity.
 
-    An exponential e^{k hbar} is the pole (k, 1).  Parity demands
-    D(-k, i) = (-1)^{d+l} D(k, i), and for k > 0 the terms are
-    Sum_i C(k,i) b^{i-1} = scale * Sum_i D(k,i) binom(b+i-1, i-1).
+    An exponential e^{k hbar} is the pole (k, 1).  Every b has the parity
+    of branch_points(mu, 0), so D(-k, i) = (-1)^b D(k, i); for k > 0 the
+    terms are Sum_i C(k,i) b^{i-1} = scale * Sum_i D(k,i) binom(b+i-1, i-1).
     """
-    d, l = mu.size, mu.length
-    sign = -1 if (d + l) % 2 else 1
+    sign = -1 if branch_points(mu, 0) % 2 else 1
     combined: dict[tuple[int, int], Fraction] = {}
     for (k, i), coeff in poles.items():
         if poles.get((-k, i), 0) != sign * coeff:
@@ -129,7 +127,7 @@ def _fold(
         for power, c in enumerate(basis):
             combined[k, power + 1] = combined.get((k, power + 1), 0) + c
     terms = tuple((k, i, c) for (k, i), c in combined.items() if c)
-    return GenusClosedForm(kind, mu, d + l - 2, normalization, terms)
+    return GenusClosedForm(kind, mu, normalization, terms)
 
 
 def monotone_closed_form(mu: Partition) -> GenusClosedForm:
@@ -159,9 +157,7 @@ def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
     The coefficients share one denominator; per pole k the value is a small
     polynomial in b times k^b, and k^b moves to the next genus by k^2.
     """
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    b = 2 * g + form.b_offset
+    b = branch_points(form.mu, g)
     den = lcm(*(c.denominator for _, _, c in form.terms))
     poles: dict[int, list[tuple[int, int]]] = {}
     for k, i, c in form.terms:
@@ -196,8 +192,7 @@ def structure_checks(form: GenusClosedForm) -> StructureReport:
         gap = all(not (second_k < k < top_k) for k, _, _ in form.terms)
         if second_k >= 1:
             second = form.coefficient(second_k)
-            ones = sum(1 for p in form.mu.parts if p == 1)
-            expected_second = Fraction(-d * ones)
+            expected_second = Fraction(-d * form.mu.parts.count(1))
         else:
             second = None
             expected_second = None
@@ -236,7 +231,7 @@ def to_json_dict(form: GenusClosedForm) -> dict:
     return {
         "kind": form.kind,
         "mu": list(form.mu.parts),
-        "b_offset": form.b_offset,
+        "b_offset": branch_points(form.mu, 0),
         "normalization": format_rational(form.normalization),
         "terms": [
             {"k": k, "i": i, "coeff": format_rational(c)} for k, i, c in form.terms

@@ -43,8 +43,8 @@ cycle type of sigma:
   other term is a class function by induction, and so is the whole sum.
 
 Nothing here shares machinery with the generating-function engine; that
-independence is the point.  Like the engine, the library takes any d and b;
-the command line caps both.
+independence is the point.  Like the engine, the library takes any d, and any
+b short of the recursion limit; the command line caps both.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 
-from .partitions import Partition, aut_order
+from .partitions import Partition, aut_order, branch_points
 
 __all__ = [
     "count_constellations",
@@ -78,7 +78,11 @@ def _cycle_count(perm: Perm) -> int:
 
 
 def count_constellations(mu: Partition, b: int, monotone: bool = False) -> int:
-    """Exact number of tuples satisfying the constellation conditions."""
+    """Exact number of tuples satisfying the constellation conditions.
+
+    walk recurses once per slot, so b near the recursion limit raises
+    RecursionError: simple (2) fails at b = 501 and works at b = 491.
+    """
     d = mu.size
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -127,22 +131,17 @@ def count_constellations(mu: Partition, b: int, monotone: bool = False) -> int:
     return factorial(d) // z_mu * walk(tuple(rho), tuple(labels), b, 0)
 
 
-def oracle_count(mu: Partition, g: int, kind: str) -> tuple[int, int, Fraction]:
-    """(b, constellation count, Hurwitz number) at b = 2g - 2 + d + l.
+def oracle_count(mu: Partition, g: int, kind: str) -> tuple[int, Fraction]:
+    """(constellation count, Hurwitz number) at b = branch_points(mu, g).
 
     The Hurwitz number is |Aut(mu)| / d! times the constellation count.
     """
     if kind not in ("simple", "monotone"):
         raise ValueError(f"unknown kind {kind!r}")
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    b = 2 * g - 2 + mu.size + mu.length
-    if b < 0:
-        raise ValueError("2g - 2 + d + l must be >= 0")
-    count = count_constellations(mu, b, kind == "monotone")
-    return b, count, Fraction(aut_order(mu) * count, factorial(mu.size))
+    count = count_constellations(mu, branch_points(mu, g), kind == "monotone")
+    return count, Fraction(aut_order(mu) * count, factorial(mu.size))
 
 
 def oracle_hurwitz(mu: Partition, g: int, kind: str) -> Fraction:
     """The exact Hurwitz number at genus g, counted by brute force."""
-    return oracle_count(mu, g, kind)[2]
+    return oracle_count(mu, g, kind)[1]

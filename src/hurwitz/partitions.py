@@ -2,7 +2,7 @@
 
 A partition is a weakly decreasing tuple of positive integers; the empty
 partition is allowed and has size and length zero.  Everything downstream
-(ramification profiles, automorphism orders) starts here.
+(ramification profiles, automorphism orders, branch points) starts here.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from operator import index
 
-__all__ = ["Partition", "partitions_of", "aut_order"]
+__all__ = ["Partition", "partitions_of", "aut_order", "branch_points"]
 
 
 @dataclass(frozen=True)
@@ -68,3 +68,10 @@ def aut_order(mu: Partition) -> int:
     """Order of the part-permutation group: product of multiplicity factorials."""
     return prod(factorial(mu.parts.count(p)) for p in set(mu.parts))
 
+
+
+def branch_points(mu: Partition, g: int) -> int:
+    """Riemann-Hurwitz: b = 2g - 2 + d + l simple branch points at genus g >= 0."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    return 2 * g - 2 + mu.size + mu.length

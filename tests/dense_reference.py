@@ -277,7 +277,7 @@ def ref_evaluate(form, g):
     """Exact value of a GenusClosedForm at genus g >= 0, from scratch."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    b = 2 * g + form.b_offset
+    b = 2 * g - 2 + form.mu.size + form.mu.length
     den = lcm(*(c.denominator for _, _, c in form.terms))
     total = sum(
         c.numerator * (den // c.denominator) * b ** (i - 1) * k**b for k, i, c in form.terms

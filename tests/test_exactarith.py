@@ -293,8 +293,8 @@ class TestImmutability:
         lambda: FactoredRationalFunction(Poly((1,)), {1.5: 1}),
         lambda: FactoredRationalFunction(Poly((1,)), {1: 2.0}),
         lambda: PartialFraction(0, {(2.5, 1.7): 1}),
-        lambda: GenusClosedForm("simple", Partition((3,)), 2, Fraction(1), ((3.5, 1, 1),)),
-        lambda: GenusClosedForm("monotone", Partition((3,)), 2, Fraction(1), ((2, "1", 1),)),
+        lambda: GenusClosedForm("simple", Partition((3,)), Fraction(1), ((3.5, 1, 1),)),
+        lambda: GenusClosedForm("monotone", Partition((3,)), Fraction(1), ((2, "1", 1),)),
     ],
     ids=["partition", "partition-str", "canonical", "frf-key", "frf-exponent", "pf-index",
          "closed-form-k", "closed-form-i"],

@@ -105,3 +105,17 @@ def test_guards_live_only_in_the_cli():
             if isinstance(node, ast.arg) and node.arg == "force"
         ]
     assert not offenders, offenders
+
+
+def test_branch_points_have_one_home():
+    # b = 2g - 2 + d + l is worked out only by partitions.branch_points.
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "partitions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp):
+                attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if {"size", "length"} <= attrs:
+                    offenders.add(f"{path.name}:{node.lineno}")
+    assert not offenders, sorted(offenders)

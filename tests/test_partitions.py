@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense_reference import conjugate, hook_product
-from hurwitz.partitions import Partition, aut_order, partitions_of
+from hurwitz.partitions import Partition, aut_order, branch_points, partitions_of
 
 
 def part(*parts):
@@ -145,3 +145,16 @@ class TestAutOrder:
 
     def test_empty(self):
         assert aut_order(Partition()) == 1
+
+
+class TestBranchPoints:
+    def test_riemann_hurwitz(self):
+        assert branch_points(part(3), 0) == 2
+        assert branch_points(part(3), 2) == 6
+        assert branch_points(part(3, 3), 0) == 6
+        assert branch_points(part(3, 3), 2) == 10
+        assert branch_points(part(1), 0) == 0
+
+    def test_negative_genus_is_refused(self):
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            branch_points(part(3, 3), -1)
