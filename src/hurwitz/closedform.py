@@ -1,7 +1,8 @@
 """Genus-closed forms: the finite data that evaluates to any-genus counts.
 
-A closed form is a list of terms (k, i, coeff) plus a normalization; with
-b = branch_points(mu, g) the value at genus g is
+A closed form is a list of terms (k, i, coeff); its kind and mu fix the
+normalization, 1/(mu_1...mu_l) if monotone and 2/(d! mu_1...mu_l) if simple,
+and with b = branch_points(mu, g) the value at genus g is
 
     normalization * sum over terms of coeff * b^{i-1} * k^b.
 
@@ -44,11 +45,10 @@ KIND_SIMPLE = "simple"
 
 @dataclass(frozen=True)
 class GenusClosedForm:
-    """Terms (k, i, coeff), k desc then i desc, at b = branch_points(mu, g)."""
+    """Terms (k, i, coeff), k desc then i desc; kind and mu fix the normalization."""
 
     kind: str
     mu: Partition
-    normalization: Fraction
     terms: tuple[tuple[int, int, Fraction], ...]
 
     def __post_init__(self) -> None:
@@ -60,14 +60,16 @@ class GenusClosedForm:
                 key=lambda t: (-t[0], -t[1]),
             )
         )
-        object.__setattr__(self, "normalization", Fraction(self.normalization))
         object.__setattr__(self, "terms", ordered)
 
-    def coefficient(self, k: int, i: int = 1) -> Fraction:
-        for tk, ti, c in self.terms:
-            if tk == k and ti == i:
-                return c
-        return Fraction(0)
+    @property
+    def normalization(self) -> Fraction:
+        if self.kind == KIND_MONOTONE:
+            return Fraction(1, prod(self.mu.parts))
+        return Fraction(2, factorial(self.mu.size) * prod(self.mu.parts))
+
+    def coefficient(self, k: int) -> Fraction:
+        return next((c for tk, i, c in self.terms if (tk, i) == (k, 1)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,7 @@ class AsymptoticTerm:
     leading: bool
 
 
-def _fold(
-    kind: str, mu: Partition, poles: dict, scale: int, normalization: Fraction
-) -> GenusClosedForm:
+def _fold(kind: str, mu: Partition, poles: dict, scale: int) -> GenusClosedForm:
     """Fold the poles D(k, i) at -k into k by hbar -> -hbar parity.
 
     An exponential e^{k hbar} is the pole (k, 1).  Every b has the parity
@@ -127,7 +127,7 @@ def _fold(
         for power, c in enumerate(basis):
             combined[k, power + 1] = combined.get((k, power + 1), 0) + c
     terms = tuple((k, i, c) for (k, i), c in combined.items() if c)
-    return GenusClosedForm(kind, mu, normalization, terms)
+    return GenusClosedForm(kind, mu, terms)
 
 
 def monotone_closed_form(mu: Partition) -> GenusClosedForm:
@@ -136,15 +136,14 @@ def monotone_closed_form(mu: Partition) -> GenusClosedForm:
     decomposition = partial_fractions(generating)
     if recombine(decomposition) != generating:
         raise ArithmeticError("partial-fraction recombination mismatch")
-    normalization = Fraction(1, prod(mu.parts))
-    return _fold(KIND_MONOTONE, mu, decomposition.terms, 2, normalization)
+    return _fold(KIND_MONOTONE, mu, decomposition.terms, 2)
 
 
 def simple_closed_form(mu: Partition) -> GenusClosedForm:
     """Closed form with H_{g;mu} = 2/(d! mu_1...mu_l) * sum C(k) * k^b."""
     scale = factorial(mu.size) * prod(mu.parts)
     poles = {(k, 1): coeff for k, coeff in npoint.simple_generating(mu).items()}
-    form = _fold(KIND_SIMPLE, mu, poles, scale, Fraction(2, scale))
+    form = _fold(KIND_SIMPLE, mu, poles, scale)
     for k, _, c in form.terms:
         if c.denominator != 1:
             raise ArithmeticError(f"non-integer coefficient C({mu};{k}) = {c}")

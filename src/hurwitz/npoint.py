@@ -22,11 +22,11 @@ As s only grows, B's labels fall to its least label and rise after it: a
 V, fixed by the set L of labels before the least, balanced iff mu(L) <= m'
 < mu(L) + mu(min B), with sign (-1)^|L|.  Parts weakly decrease along the
 labels, so the least label carries B's largest part, top, and the signed
-count of V orders depends only on the number t_v of B's parts of each
-value v:
+count W(t, m') of V orders depends only on the number t_v of B's parts of
+each value v.  Over L, the signs sum to prod_v (1 - x^v)^{t_v - [v = top]}
+in x^{mu(L)}, and the window adds (1 - x^top)/(1 - x) in x^{m'}, so
 
-    W(t, m') = sum_L (-1)^|L| prod_v C(t_v - [v = top], L_v)
-               [L.v <= m' < L.v + top].
+    W(t, m') = sum_{j <= m'} [x^j] prod_v (1 - x^v)^{t_v}.
 
 A cycle with its assignment is then the sequence of its blocks from the
 one that holds label 1, with affine indices m_0, m_1, ... between them.
@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb, prod
 
 from .affine import monotone_affine, simple_affine
@@ -70,16 +70,14 @@ def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
 
 
-def _block_weight(values: tuple[int, ...], t: tuple[int, ...], m: int) -> int:
-    """W(t, m) of the module docstring; t[i] parts of value values[i], decreasing."""
-    top = next(v for v, count in zip(values, t) if count)
-    free = [count - (v == top) for v, count in zip(values, t)]
-    total = 0
-    for before in product(*(range(count + 1) for count in free)):
-        below = sum(v * k for v, k in zip(values, before))
-        if below <= m < below + top:
-            total += (-1) ** sum(before) * prod(map(comb, free, before))
-    return total
+@cache
+def _block_weights(values: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """W(t, 0..|t|) of the module docstring; t[i] parts of value values[i]."""
+    q = [1]
+    for v, count in zip(values, t):
+        for _ in range(count):
+            q = [a - b for a, b in zip(q + [0] * v, [0] * v + q)]
+    return tuple(accumulate(q))
 
 
 def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
@@ -102,7 +100,8 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]
         # (parts left after the block, its n, their size, weight times ways)
         choices = []
         for t in product(*(range(a, k + 1) for a, k in zip(pinned, left))):
-            weight = _block_weight(values, t, m) if size(t) > m else 0
+            # a block holds more than m; this also drops the empty t, whose W is 1
+            weight = _block_weights(values, t)[m] if size(t) > m else 0
             if weight:
                 ways = prod(comb(k - a, j - a) for k, j, a in zip(left, t, pinned))
                 rest = tuple(k - j for k, j in zip(left, t))

@@ -11,8 +11,11 @@ cycle, then count edge sequences under their least rotation.
 ``_signature_summaries`` and ``_cycle_classes`` are the walk npoint ran
 before its block sum: ``ref_weighted_pair_sums`` walks each edge sequence
 up to rotation once and scales it by its number of cycles, zero totals
-included.  ``conjugate`` and ``hook_product`` are the Young-diagram
-helpers that the partition and affine tests check against.
+included.  ``ref_block_weight`` is the block weight W(t, m) as npoint
+summed it before the polynomial form: the signed walk over the label sets
+L before the block's least label.  ``conjugate`` and ``hook_product`` are
+the Young-diagram helpers that the partition and affine tests check
+against.
 ``ref_evaluate`` is the one-genus evaluation closedform ran before its
 values were carried from row to row: every k^b computed afresh from the
 terms.  ``tau_correlator`` is the Witten-Kontsevich intersection number
@@ -23,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from hurwitz.exactarith import Poly
 from hurwitz.npoint import enumerate_cycles
@@ -250,6 +253,18 @@ def ref_weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], i
         for pairs, count in _signature_summaries(*signature).items():
             out[pairs] = out.get(pairs, 0) + scale * count
     return out
+
+
+def ref_block_weight(values: tuple[int, ...], t: tuple[int, ...], m: int) -> int:
+    """W(t, m) of the npoint docstring; t[i] parts of value values[i], decreasing."""
+    top = next(v for v, count in zip(values, t) if count)
+    free = [count - (v == top) for v, count in zip(values, t)]
+    total = 0
+    for before in product(*(range(count + 1) for count in free)):
+        below = sum(v * k for v, k in zip(values, before))
+        if below <= m < below + top:
+            total += (-1) ** sum(before) * prod(map(comb, free, before))
+    return total
 
 
 def conjugate(mu: Partition) -> Partition:

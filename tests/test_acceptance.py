@@ -270,7 +270,7 @@ def test_criterion_6_monotone_leading_sweep():
             expected = monotone_leading_coefficient(d)
             for mu in partitions_of(d):
                 form = monotone_closed_form(mu)
-                assert form.coefficient(d - 1, 1) == expected, mu
+                assert form.coefficient(d - 1) == expected, mu
                 for k, i, _ in form.terms:
                     assert not (k in (d - 1, d - 2) and i >= 2), (mu, k, i)
                 report = structure_checks(form)

@@ -1,13 +1,14 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
-    _block_weight,
+    _block_weights,
     _weighted_pair_sums,
     enumerate_cycles,
     monotone_generating,
@@ -21,6 +22,7 @@ from dense_reference import (
     _signature_summaries,
     as_pair,
     edge_sequence,
+    ref_block_weight,
     ref_cycle_classes,
     ref_flip,
     ref_taylor,
@@ -151,22 +153,58 @@ def pair_sums_digest(pair_sums):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@cache
+def block_types() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (values, t) of a nonempty block of a profile with |mu| <= 12."""
+    types = set()
+    for d in range(1, 13):
+        for mu in partitions_of(d):
+            values = tuple(sorted(set(mu.parts), reverse=True))
+            counts = [mu.parts.count(v) for v in values]
+            types.update(
+                (values, t) for t in product(*(range(c + 1) for c in counts)) if any(t)
+            )
+    return sorted(types)
+
+
+def block_size(values, t):
+    return sum(v * k for v, k in zip(values, t))
+
+
 class TestBlockWeight:
     def test_one_part(self):
         # a lone part p: no labels before the least, so 0 <= m < p balances
         for p in range(1, 7):
-            assert [_block_weight((p,), (1,), m) for m in range(p + 2)] == [1] * p + [0, 0]
+            assert _block_weights((p,), (1,)) == (1,) * p + (0,)
 
     def test_run_of_ones(self):
         # k ones: exactly m of the other k - 1 labels come first, sign (-1)^m
         for k in range(1, 8):
             expected = [(-1) ** m * comb(k - 1, m) for m in range(k)] + [0]
-            assert [_block_weight((1,), (k,), m) for m in range(k + 1)] == expected
+            assert _block_weights((1,), (k,)) == tuple(expected)
 
     def test_top_part_leads_with_several_values(self):
         # (3, 1): the 3 is the least label; the 1 after it gives +1 at
         # m = 0, 1, 2 and before it -1 at m = 1, 2, 3
-        assert [_block_weight((3, 1), (1, 1), m) for m in range(5)] == [1, 0, 0, -1, 0]
+        assert _block_weights((3, 1), (1, 1)) == (1, 0, 0, -1, 0)
+
+    def test_equals_the_reference_walk_over_label_sets(self):
+        for values, t in block_types():
+            size = block_size(values, t)
+            expected = tuple(ref_block_weight(values, t, m) for m in range(size + 1))
+            assert _block_weights(values, t) == expected, (values, t)
+
+    def test_last_weight_vanishes_and_the_rest_mirror(self):
+        # prod_v (1 - x^v)^{t_v} vanishes at x = 1 and is palindromic up to
+        # the sign (-1)^{#parts}, so W(t, |t|) = 0 and
+        # W(t, m) = (-1)^{#parts + 1} W(t, |t| - 1 - m)
+        for values, t in block_types():
+            size = block_size(values, t)
+            weights = _block_weights(values, t)
+            assert len(weights) == size + 1 and weights[size] == 0, (values, t)
+            sign = -1 if sum(t) % 2 == 0 else 1
+            for m in range(size):
+                assert weights[m] == sign * weights[size - 1 - m], (values, t, m)
 
 
 class TestWeightedPairSums:
