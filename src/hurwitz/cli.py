@@ -16,14 +16,11 @@ display-only column in tables.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import closedform, oracle
 from .closedform import GenusClosedForm
@@ -128,8 +125,7 @@ def _optional_rational(value: Fraction | None) -> str | None:
     return None if value is None else format_rational(value)
 
 
-@dataclass(frozen=True)
-class _Document:
+class _Document(NamedTuple):
     """One command's result; the JSON payload is its only data model.
 
     CSV projects ``rows`` (dicts taken from the payload) onto ``columns``.
@@ -159,9 +155,12 @@ def _cell(value) -> str:
 
 
 def _render(document: _Document, fmt: str) -> str:
+    # json and csv are imported only by the request that prints them.
     if fmt == "json":
+        import json
         return json.dumps(document.payload, indent=2) + "\n"
     if fmt == "csv":
+        import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(document.columns)

@@ -15,14 +15,14 @@ scale the exponential-sum coefficients to integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import index
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import npoint
 from .exactarith import format_rational, partial_fractions, recombine
+from .frozen import Frozen
 from .partitions import Partition, branch_points
 
 __all__ = [
@@ -43,23 +43,22 @@ KIND_MONOTONE = "monotone"
 KIND_SIMPLE = "simple"
 
 
-@dataclass(frozen=True)
-class GenusClosedForm:
+class GenusClosedForm(Frozen):
     """Terms (k, i, coeff), k desc then i desc; kind and mu fix the normalization."""
 
-    kind: str
-    mu: Partition
-    terms: tuple[tuple[int, int, Fraction], ...]
+    __slots__ = ("kind", "mu", "terms")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_MONOTONE, KIND_SIMPLE):
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __init__(self, kind: str, mu: Partition, terms) -> None:
+        if kind not in (KIND_MONOTONE, KIND_SIMPLE):
+            raise ValueError(f"unknown kind {kind!r}")
         ordered = tuple(
             sorted(
-                ((index(k), index(i), Fraction(c)) for k, i, c in self.terms),
+                ((index(k), index(i), Fraction(c)) for k, i, c in terms),
                 key=lambda t: (-t[0], -t[1]),
             )
         )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "terms", ordered)
 
     @property
@@ -72,8 +71,7 @@ class GenusClosedForm:
         return next((c for tk, i, c in self.terms if (tk, i) == (k, 1)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Observed vs expected leading coefficients of a closed form.
 
     For simple forms the gap flag covers the vanishing window
@@ -97,8 +95,7 @@ class StructureReport:
         return self.second_coefficient == self.expected_second
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
+class AsymptoticTerm(NamedTuple):
     k: int
     i: int
     coeff: Fraction
@@ -153,8 +150,9 @@ def simple_closed_form(mu: Partition) -> GenusClosedForm:
 def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
     """Exact H or vecH at genus g, g+1, g+2, ... (g >= 0), without end.
 
-    The coefficients share one denominator; per pole k the value is a small
-    polynomial in b times k^b, and k^b moves to the next genus by k^2.
+    The coefficients share one denominator, into which the normalization
+    p/q folds once; per pole k the value is a small polynomial in b times
+    k^b, and k^b moves to the next genus by k^2.
     """
     b = branch_points(form.mu, g)
     den = lcm(*(c.denominator for _, _, c in form.terms))
@@ -162,9 +160,10 @@ def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
     for k, i, c in form.terms:
         poles.setdefault(k, []).append((i - 1, c.numerator * (den // c.denominator)))
     powers = {k: k**b for k in poles}
+    p, q = form.normalization.as_integer_ratio()
     while True:
         total = sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items())
-        yield form.normalization * Fraction(total, den)
+        yield Fraction(total * p, den * q)
         for k in powers:
             powers[k] *= k * k
         b += 2

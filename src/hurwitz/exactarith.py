@@ -13,16 +13,17 @@ scalar terms: a ``Fraction`` times a pole multiset or one exponential.
 ``Poly`` takes ints only: one tuple of coefficients over one positive
 denominator, in lowest terms.  The common-denominator sum, reduction and
 partial fractions all work on those integers; ``Fraction`` appears only
-in scalars.  Nothing here ever rounds.  Each object is built once per
-request and read once, so the map fields are plain dicts, in sorted key
-order; only ``Poly`` is frozen and hashable.
+in scalars.  Nothing here ever rounds.  No field can be reassigned.  Each
+object is built once per request and read once, so the map fields are
+plain dicts, in sorted key order, and only ``Poly`` is hashable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+
+from .frozen import Frozen
 
 __all__ = [
     "Poly",
@@ -35,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Dense polynomial sum_j coeffs[j] * hbar^j / den with integer coeffs.
 
     The constructor takes ints only and stores lowest terms: den > 0,
@@ -44,11 +44,10 @@ class Poly:
     polynomials have equal fields.  The zero polynomial is ((), 1).
     """
 
-    coeffs: tuple[int, ...] = ()
-    den: int = 1
+    __slots__ = ("coeffs", "den")
 
-    def __post_init__(self) -> None:
-        cs, den = list(self.coeffs), self.den
+    def __init__(self, coeffs: tuple[int, ...] = (), den: int = 1) -> None:
+        cs = list(coeffs)
         if den == 0:
             raise ZeroDivisionError("polynomial denominator is zero")
         if not all(type(c) is int for c in (den, *cs)):
@@ -105,21 +104,19 @@ def _expand(factors: dict[int, int]) -> list[int]:
     return out
 
 
-@dataclass
-class FactoredRationalFunction:
+class FactoredRationalFunction(Frozen):
     """numerator / prod_k (1 - k*hbar)^{e_k}, kept fully reduced.
 
     Reduced means the numerator does not vanish at hbar = 1/k for any stored
     factor key k, and k = 0 never appears.
     """
 
-    numerator: Poly = Poly()
-    denominator_factors: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("numerator", "denominator_factors")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        num = self.numerator
+    def __init__(self, numerator: Poly, denominator_factors: dict[int, int]) -> None:
         factors: dict[int, int] = {}
-        for k, e in self.denominator_factors.items():
+        for k, e in denominator_factors.items():
             k = index(k)
             e = index(e)
             if k == 0:
@@ -128,10 +125,10 @@ class FactoredRationalFunction:
                 raise ValueError("factor multiplicities must be >= 0")
             if e:
                 factors[k] = factors.get(k, 0) + e
-        if num.is_zero():
+        if numerator.is_zero():
             factors = {}
         else:
-            a = list(num.coeffs)
+            a = list(numerator.coeffs)
             for k in sorted(factors):
                 e = factors[k]
                 while e and _horner_at_inverse(a, k) == 0:
@@ -141,10 +138,10 @@ class FactoredRationalFunction:
                     factors[k] = e
                 else:
                     del factors[k]
-            if len(a) < len(num.coeffs):
-                num = Poly(tuple(a), num.den)
-        self.numerator = num
-        self.denominator_factors = dict(sorted(factors.items()))
+            if len(a) < len(numerator.coeffs):
+                numerator = Poly(tuple(a), numerator.den)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator_factors", dict(sorted(factors.items())))
 
     def total_pole_order(self) -> int:
         return sum(self.denominator_factors.values())
@@ -172,23 +169,22 @@ def common_denominator_sum(terms) -> FactoredRationalFunction:
     return FactoredRationalFunction(Poly(tuple(total), den), common)
 
 
-@dataclass
-class PartialFraction:
+class PartialFraction(Frozen):
     """constant + sum over (k, i) of terms[(k, i)] / (1 - k*hbar)^i."""
 
-    constant: Fraction = Fraction(0)
-    terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("constant", "terms")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        self.constant = Fraction(self.constant)
+    def __init__(self, constant: Fraction, terms: dict[tuple[int, int], Fraction]) -> None:
+        object.__setattr__(self, "constant", Fraction(constant))
         cleaned: dict[tuple[int, int], Fraction] = {}
-        for (k, i), c in sorted(self.terms.items()):
+        for (k, i), c in sorted(terms.items()):
             k, i, c = index(k), index(i), Fraction(c)
             if k == 0 or i < 1:
                 raise ValueError(f"invalid partial-fraction index {(k, i)}")
             if c:
                 cleaned[(k, i)] = c
-        self.terms = cleaned
+        object.__setattr__(self, "terms", cleaned)
 
 
 def partial_fractions(f: FactoredRationalFunction) -> PartialFraction:

@@ -6,21 +6,21 @@ partition is allowed and has size and length zero.  Everything downstream
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 from operator import index
+
+from .frozen import Frozen
 
 __all__ = ["Partition", "partitions_of", "aut_order", "branch_points"]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Weakly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(map(index, self.parts))
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(map(index, parts))
         object.__setattr__(self, "parts", parts)
         for i, p in enumerate(parts):
             if p < 1:

@@ -334,9 +334,7 @@ class TestChecksCommand:
         real = closedform.structure_checks
 
         def corrupted(form):
-            report = real(form)
-            object.__setattr__(report, "gap_all_zero", False)
-            return report
+            return real(form)._replace(gap_all_zero=False)
 
         monkeypatch.setattr(closedform, "structure_checks", corrupted)
         code, _, _ = run(capsys, "checks", "--kind", "simple", "--d-max", "3")

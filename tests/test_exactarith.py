@@ -1,12 +1,19 @@
-import dataclasses
+import copy
+import pickle
 import random
+from collections.abc import Hashable
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitz.closedform import GenusClosedForm
+from hurwitz.closedform import (
+    GenusClosedForm,
+    asymptotics,
+    monotone_closed_form,
+    structure_checks,
+)
 from hurwitz.exactarith import (
     FactoredRationalFunction,
     PartialFraction,
@@ -278,10 +285,76 @@ class TestImmutability:
 
     def test_fields_reject_writes(self):
         p = Poly((1, 3))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.coeffs = (2,)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.den = 2
+
+
+# Every public value type: a builder, its field names, whether it hashes.
+VALUE_TYPES = {
+    "partition": (lambda: Partition.canonical([1, 3, 3]), ("parts",), True),
+    "poly": (lambda: Poly((2, 6), 4), ("coeffs", "den"), True),
+    "factored": (
+        lambda: FactoredRationalFunction(Poly((1, 3)), {1: 1, -2: 2}),
+        ("numerator", "denominator_factors"),
+        False,
+    ),
+    "partial-fraction": (
+        lambda: PartialFraction(Fraction(1, 2), {(2, 1): 3, (1, 2): -1}),
+        ("constant", "terms"),
+        False,
+    ),
+    "closed-form": (
+        lambda: monotone_closed_form(Partition((3, 1))), ("kind", "mu", "terms"), True,
+    ),
+    "structure-report": (
+        lambda: structure_checks(monotone_closed_form(Partition((3, 1)))),
+        ("top_coefficient", "expected_top", "gap_all_zero", "second_coefficient",
+         "expected_second"),
+        True,
+    ),
+    "asymptotic-term": (
+        lambda: asymptotics(monotone_closed_form(Partition((3, 1))))[0],
+        ("k", "i", "coeff", "leading"),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_type_contract(name):
+    build, fields, hashable = VALUE_TYPES[name]
+    a, b = build(), build()
+    assert a == b and a is not b
+    assert isinstance(a, Hashable) == hashable
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for field in fields:
+        value = getattr(a, field)
+        with pytest.raises(AttributeError):
+            setattr(a, field, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == value
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert type(twin) is type(a) and twin == a
+        assert all(getattr(twin, f) == getattr(a, f) for f in fields)
+
+
+def test_values_differing_in_one_field_compare_unequal():
+    mu = Partition((3,))
+    assert Partition((3, 1)) != mu
+    assert Poly((1, 3)) != Poly((1, 3), 2)
+    assert FactoredRationalFunction(Poly((1,)), {1: 1}) != FactoredRationalFunction(
+        Poly((1,)), {1: 2}
+    )
+    assert PartialFraction(1, {(1, 1): 1}) != PartialFraction(2, {(1, 1): 1})
+    form = monotone_closed_form(mu)
+    assert form != GenusClosedForm("simple", mu, form.terms)
 
 
 @pytest.mark.parametrize(

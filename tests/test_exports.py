@@ -2,7 +2,10 @@ import ast
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -119,3 +122,25 @@ def test_branch_points_have_one_home():
                 if {"size", "length"} <= attrs:
                     offenders.add(f"{path.name}:{node.lineno}")
     assert not offenders, sorted(offenders)
+
+
+def test_cli_import_loads_no_module_a_request_may_not_need():
+    # Every request is a fresh process that would pay these imports:
+    # dataclasses pulls in inspect, and json and csv load with the one
+    # output format that uses them.
+    heavy = ["csv", "dataclasses", "inspect", "json"]
+    probe = f"import sys, hurwitz.cli; print([m for m in {heavy} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and "dataclasses" in [a.name for a in node.names])
+    ]
+    assert not importers, importers
