@@ -17,7 +17,6 @@ from .exactarith import (
     partial_fractions,
 )
 from .npoint import monotone_generating, simple_generating
-from .oracle import count_constellations, oracle_hurwitz
 from .partitions import Partition, partitions_of
 
 __version__ = "0.1.0"
@@ -44,3 +43,12 @@ __all__ = [
     "oracle_hurwitz",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The oracle loads on first use: a request that counts nothing skips it.
+    if name in ("count_constellations", "oracle_hurwitz"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import closedform, oracle
+from . import closedform
 from .closedform import GenusClosedForm
 from .exactarith import format_rational
 from .partitions import Partition, branch_points, partitions_of
@@ -232,6 +232,8 @@ def _cmd_table(args) -> _Document:
 
 
 def _cmd_oracle(args) -> _Document:
+    from . import oracle
+
     mu = _parse_mu(args.mu)
     _oracle_guard(mu, args.genus, args.force)
     count, value = oracle.oracle_count(mu, args.genus, args.kind)
@@ -251,6 +253,8 @@ def _cmd_oracle(args) -> _Document:
 
 
 def _cmd_verify(args) -> _Document:
+    from . import oracle
+
     mu = _parse_mu(args.mu)
     # The last genus has the largest b: refuse before any engine or oracle work.
     _oracle_guard(mu, args.genus_max, args.force)

@@ -1,7 +1,8 @@
 """Exact scalars and the factored rational functions used downstream.
 
-The engine emits both generating objects in the formal variable hbar as
-scalar terms: a ``Fraction`` times a pole multiset or one exponential.
+The engine sums both generating objects in the formal variable hbar as
+integers over d!, one per pole multiset or per exponential, and hands each
+on as one ``Fraction`` scalar.
 
 * ``FactoredRationalFunction`` -- a polynomial numerator over a denominator
   kept as a multiset of factors (1 - k*hbar).  Poles stay visible, so

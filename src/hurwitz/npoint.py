@@ -48,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .affine import monotone_affine, simple_affine
 from .exactarith import FactoredRationalFunction, common_denominator_sum
@@ -127,12 +127,21 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]
 
 
 def _weighted_terms(mu: Partition, affine):
-    """Per pair multiset: (each pair's affine hbar data, total times prefactors)."""
+    """Per pair multiset: (each pair's affine hbar data, total times d!/prod h).
+
+    Block i's pair is (mu(t_i) - 1 - m_{i-1}, m_i), so the n + m + 1 telescope
+    to d.  Then d!/prod |h| = d!/prod (n+m+1)! * prod C(n+m, n), a multinomial
+    times binomials: each multiset weighs an integer over d!.
+    """
     if mu.size < 2:
         raise ValueError("degree must be >= 2")
+    scale = factorial(mu.size)
     for pairs, total in _weighted_pair_sums(mu).items():
-        data, prefactors = zip(*(affine(n, m) for n, m in pairs))
-        yield data, prod(prefactors, start=total)
+        data, hooks = zip(*(affine(n, m) for n, m in pairs))
+        weight, rest = divmod(scale, prod(hooks))
+        if rest:
+            raise ArithmeticError(f"hook product of {pairs} does not divide {mu.size}!")
+        yield data, total * weight
 
 
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:
@@ -141,11 +150,14 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     Poles sit only at hbar = 1/k for 1 <= |k| <= d-1; the reduced pole
     order at 1/k never exceeds min(l, (d-1)//|k|).
     """
-    accumulated: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for pole_keys, coeff in _weighted_terms(mu, monotone_affine):
+    accumulated: dict[tuple[tuple[int, int], ...], int] = {}
+    for pole_keys, c in _weighted_terms(mu, monotone_affine):
         key = tuple(sorted(Counter(k for keys in pole_keys for k in keys).items()))
-        accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
-    return common_denominator_sum((c, dict(key)) for key, c in accumulated.items())
+        accumulated[key] = accumulated.get(key, 0) + c
+    den = factorial(mu.size)
+    return common_denominator_sum(
+        (Fraction(c, den), dict(key)) for key, c in accumulated.items()
+    )
 
 
 def simple_generating(mu: Partition) -> dict[int, Fraction]:
@@ -156,9 +168,9 @@ def simple_generating(mu: Partition) -> dict[int, Fraction]:
     Support is contained in |k| <= d(d-1)/2 and obeys the parity
     D(mu;k) = (-1)^{d+l} D(mu;-k).
     """
-    accumulated: dict[int, Fraction] = {}
-    for exponents, coeff in _weighted_terms(mu, simple_affine):
+    accumulated: dict[int, int] = {}
+    for exponents, c in _weighted_terms(mu, simple_affine):
         k = sum(exponents)
-        accumulated[k] = accumulated.get(k, Fraction(0)) + coeff
-    scale = Fraction(1, prod(mu.parts))
-    return {k: c * scale for k, c in sorted(accumulated.items()) if c}
+        accumulated[k] = accumulated.get(k, 0) + c
+    den = factorial(mu.size) * prod(mu.parts)
+    return {k: Fraction(c, den) for k, c in sorted(accumulated.items()) if c}

@@ -15,7 +15,9 @@ included.  ``ref_block_weight`` is the block weight W(t, m) as npoint
 summed it before the polynomial form: the signed walk over the label sets
 L before the block's least label.  ``conjugate`` and ``hook_product`` are
 the Young-diagram helpers that the partition and affine tests check
-against.
+against.  ``ref_generating`` is the weighting npoint ran before its
+weights became integers over d!: every pair multiset's total times a
+``Fraction`` prefactor per pair, accumulated in ``Fraction``.
 ``ref_evaluate`` is the one-genus evaluation closedform ran before its
 values were carried from row to row: every k^b computed afresh from the
 terms.  ``tau_correlator`` is the Witten-Kontsevich intersection number
@@ -28,8 +30,8 @@ from functools import cache
 from itertools import product
 from math import comb, lcm, prod
 
-from hurwitz.exactarith import Poly
-from hurwitz.npoint import enumerate_cycles
+from hurwitz.exactarith import Poly, common_denominator_sum
+from hurwitz.npoint import _weighted_pair_sums, enumerate_cycles
 from hurwitz.partitions import Partition
 
 
@@ -286,6 +288,34 @@ def hook_product(mu: Partition) -> int:
         for j in range(1, row + 1):
             out *= row + conj[j - 1] - i - j + 1
     return out
+
+
+@cache
+def ref_prefactor(n: int, m: int) -> Fraction:
+    """(-1)^n / ((n+m+1) n! m!), the affine prefactor, from the hook (m+1, 1^n)."""
+    return Fraction((-1) ** n, hook_product(Partition((m + 1,) + (1,) * n)))
+
+
+def ref_generating(mu: Partition, kind: str):
+    """simple_generating or monotone_generating by Fraction prefactors.
+
+    Each pair multiset's total times its pairs' prefactors is accumulated
+    per exponent sum (m^2+m-n^2-n)/2 (simple, then over mu_1...mu_l) or per
+    pole multiset, keys -n..m without 0 for each pair (monotone).
+    """
+    accumulated: dict = {}
+    for pairs, total in _weighted_pair_sums(mu).items():
+        coeff = prod((ref_prefactor(n, m) for n, m in pairs), start=Fraction(total))
+        if kind == "simple":
+            key = sum((m * m + m - n * n - n) // 2 for n, m in pairs)
+        else:
+            keys = Counter(k for n, m in pairs for k in range(-n, m + 1) if k)
+            key = tuple(sorted(keys.items()))
+        accumulated[key] = accumulated.get(key, Fraction(0)) + coeff
+    if kind == "simple":
+        scale = Fraction(1, prod(mu.parts))
+        return {k: c * scale for k, c in sorted(accumulated.items()) if c}
+    return common_denominator_sum((c, dict(key)) for key, c in accumulated.items())
 
 
 def ref_evaluate(form, g):

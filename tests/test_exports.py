@@ -31,6 +31,7 @@ TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 # Referenced from outside the scanned code.
 EXEMPT = {
     "_Parser.error",  # argparse calls it on a usage error
+    "__getattr__",  # the import system calls it for a name the package lacks
 }
 
 
@@ -144,3 +145,22 @@ def test_cli_import_loads_no_module_a_request_may_not_need():
         or (isinstance(node, ast.Import) and "dataclasses" in [a.name for a in node.names])
     ]
     assert not importers, importers
+
+
+def test_cli_import_leaves_the_oracle_to_the_requests_that_count():
+    # Only oracle and verify count factorizations; the package loads the
+    # oracle on first use of one of its two exported names.
+    probe = (
+        "import sys, hurwitz.cli; print('hurwitz.oracle' in sys.modules)\n"
+        "from hurwitz import count_constellations, oracle_hurwitz\n"
+        "print('hurwitz.oracle' in sys.modules, oracle_hurwitz.__module__,"
+        " count_constellations.__module__)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["False", "True", "hurwitz.oracle", "hurwitz.oracle"]
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        hurwitz.missing

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from hurwitz import npoint
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
     _block_weights,
@@ -25,6 +26,7 @@ from dense_reference import (
     ref_block_weight,
     ref_cycle_classes,
     ref_flip,
+    ref_generating,
     ref_taylor,
     ref_weighted_pair_sums,
 )
@@ -114,12 +116,6 @@ class TestSignatureSummaries:
         for mu in (part(2, 1), part(2, 2), part(3, 2, 1)):
             for cycle in enumerate_cycles(mu.length):
                 assert all(pairs for pairs in summaries(cycle, mu))
-
-    def test_degree_balance(self):
-        mu = part(3, 2, 1)
-        for cycle in enumerate_cycles(3):
-            for pairs in summaries(cycle, mu):
-                assert sum(n + m + 1 for n, m in pairs) == mu.size
 
     def test_rotations_share_one_summary(self):
         # the reference walk counts each edge sequence under its least
@@ -220,6 +216,14 @@ class TestWeightedPairSums:
                 walk = {pairs: v for pairs, v in ref_weighted_pair_sums(mu).items() if v}
                 assert _weighted_pair_sums(mu) == walk, mu
 
+    def test_degree_balance(self):
+        # the pairs' n + m + 1 telescope to d, so every multiset's weight is
+        # an integer over d!
+        for d in range(1, 10):
+            for mu in partitions_of(d):
+                for pairs in _weighted_pair_sums(mu):
+                    assert sum(n + m + 1 for n, m in pairs) == d, (mu, pairs)
+
     def test_pinned_for_degree_nine(self):
         # the walk keeps 1087 zero totals, the engine none; dropping them
         # from the walk gives the engine's digest
@@ -309,6 +313,24 @@ class TestSimpleGenerating:
     def test_low_degree_rejected(self):
         with pytest.raises(ValueError):
             simple_generating(part(1))
+
+
+class TestIntegerWeights:
+    def test_both_kinds_equal_the_fraction_weighting(self):
+        profiles = [mu for d in range(2, 11) for mu in partitions_of(d)]
+        assert len(profiles) == 137
+        for mu in profiles:
+            assert simple_generating(mu) == ref_generating(mu, "simple"), mu
+            assert monotone_generating(mu) == ref_generating(mu, "monotone"), mu
+
+    def test_hook_product_not_dividing_d_factorial_raises(self, monkeypatch):
+        # 7 divides no 3!, so no weight of (3) can be an integer over it
+        monkeypatch.setattr(npoint, "simple_affine", lambda n, m: (0, 7))
+        monkeypatch.setattr(npoint, "monotone_affine", lambda n, m: ((), 7))
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            simple_generating(part(3))
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            monotone_generating(part(3))
 
 
 class TestEngineInvariants:
