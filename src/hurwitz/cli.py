@@ -32,10 +32,10 @@ __all__ = ["main", "entry"]
 # Every cap is a command-line guard that --force lifts; the library calls
 # run unguarded.
 ENGINE_MAX_DEGREE = 12
-# The engine sums over blocks, so forced (1^12) takes 0.28-0.44 s and 18 MB.
-# The cap keeps checks, guarded through (1^d-max), at --d-max 10: 0.6-0.7 s
-# (simple) and 1.5-2.0 s (monotone), against 1.8 and 3.5-4.3 s at 11
-# (2-vCPU x86, Python 3.11).
+# The engine sums over block states, so forced (1^12) takes 0.10-0.28 s and
+# 16 MB.  The cap keeps checks, guarded through (1^d-max), at --d-max 10:
+# 0.24-0.41 s (simple) and 0.9-1.4 s (monotone), against 0.5-0.7 and 2.5-2.8 s
+# at 11 (2-vCPU x86, Python 3.11).
 ENGINE_MAX_PARTS = 10
 # eval and table print values of about b*log10(k) digits, and the int-to-str
 # conversion is quadratic, so their cost follows the sum of b^2 over the

@@ -37,6 +37,16 @@ C(c_v, t_v) of the c_v labels with part v still left, except that the
 first block takes label 1, one of the largest parts.  A block entered with
 m holds more than m, so each m_i ranges below the parts still left.
 
+These sequences are summed by a DP over block states (parts left, m,
+labels pinned, m_0), each memoized as a map from an int key to an int
+total up to the cycle's close.  Pair (n, m) has prefactor 1/h, h =
+(-1)^n (n+m+1) n! m!, and the pairs' n + m + 1 add up to d; so with
+rem = mu(left) + m_0 - m still to deal, a pair weighs the integer
+C(rem, n+m+1) (n+m+1)!/h, and a cycle d!/prod h over d!.  Keys add along
+the cycle: the exponent k of e^{k*hbar} (simple), or the poles as
+base-2^w digits at k + d - 1, w = l.bit_length() (monotone); a pair holds
+each pole once and a cycle at most l pairs, so no digit carries.
+
 For l = 1 the loop edge 1 -> 1 is one block with one pair (n, m),
 n + m = d - 1: the plain diagonal sum of the one-point function.  For
 l = 2 the subtracted principal part 1/(z_1 - z_2)^2 expands with only
@@ -44,7 +54,6 @@ nonnegative powers of z_2, so it never reaches the target coefficient.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product
@@ -80,13 +89,10 @@ def _block_weights(values: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ..
     return tuple(accumulate(q))
 
 
-def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
-    """Total signed multiplicity of each affine (n, m) pair multiset.
-
-    Sums the block sequences of the module docstring over every m_0 and
-    folds in the global (-1)^{l-1}; multisets whose total is zero are left
-    out.  The block choices of each (parts left, m) are found once.
-    """
+def _key_totals(mu: Partition, affine) -> dict[int, int]:
+    """The module docstring's DP; ``affine(n, m)`` gives a pair's (int key, h)."""
+    if mu.size < 2:
+        raise ValueError("degree must be >= 2")
     values = tuple(sorted(set(mu.parts), reverse=True))
     counts = tuple(mu.parts.count(v) for v in values)
     unpinned = (0,) * len(values)
@@ -108,40 +114,29 @@ def _weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]
                 choices.append((rest, size(t) - 1 - m, size(rest), weight * ways))
         return choices
 
-    global_sign = -1 if mu.length % 2 == 0 else 1
-    out: dict[tuple[tuple[int, int], ...], int] = {}
-    # (parts left, m entering the next block, pinned, m_0, pairs so far, weight)
-    stack = [(counts, m0, anchor, m0, (), global_sign) for m0 in range(mu.size)]
-    while stack:
-        left, m, pinned, m0, pairs, weight = stack.pop()
+    @cache
+    def tail(left: tuple[int, ...], m: int, pinned: tuple[int, ...], m0: int):
+        # the pairs from here to the close have n + m' + 1 summing to rem
+        rem, out = size(left) + m0 - m, {}
         for rest, n, rest_size, w in blocks(left, m, pinned):
-            if rest_size:
-                for m_next in range(rest_size):
-                    stack.append(
-                        (rest, m_next, unpinned, m0, pairs + ((n, m_next),), weight * w)
-                    )
-            else:
-                key = tuple(sorted(pairs + ((n, m0),)))
-                out[key] = out.get(key, 0) + weight * w
-    return {pairs: total for pairs, total in out.items() if total}
+            for m_next in range(rest_size) if rest_size else (m0,):
+                key, h = affine(n, m_next)
+                s = n + m_next + 1
+                weight, r = divmod(factorial(s), h)
+                if r:
+                    raise ArithmeticError(f"hook product of {(n, m_next)} does not divide {s}!")
+                weight *= w * comb(rem, s)
+                ends = tail(rest, m_next, unpinned, m0) if rest_size else {0: 1}
+                for k, total in ends.items():
+                    out[key + k] = out.get(key + k, 0) + weight * total
+        return out
 
-
-def _weighted_terms(mu: Partition, affine):
-    """Per pair multiset: (each pair's affine hbar data, total times d!/prod h).
-
-    Block i's pair is (mu(t_i) - 1 - m_{i-1}, m_i), so the n + m + 1 telescope
-    to d.  Then d!/prod |h| = d!/prod (n+m+1)! * prod C(n+m, n), a multinomial
-    times binomials: each multiset weighs an integer over d!.
-    """
-    if mu.size < 2:
-        raise ValueError("degree must be >= 2")
-    scale = factorial(mu.size)
-    for pairs, total in _weighted_pair_sums(mu).items():
-        data, hooks = zip(*(affine(n, m) for n, m in pairs))
-        weight, rest = divmod(scale, prod(hooks))
-        if rest:
-            raise ArithmeticError(f"hook product of {pairs} does not divide {mu.size}!")
-        yield data, total * weight
+    sign = -1 if mu.length % 2 == 0 else 1
+    out: dict[int, int] = {}
+    for m0 in range(mu.size):
+        for k, total in tail(counts, m0, anchor, m0).items():
+            out[k] = out.get(k, 0) + sign * total
+    return out
 
 
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:
@@ -150,13 +145,19 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     Poles sit only at hbar = 1/k for 1 <= |k| <= d-1; the reduced pole
     order at 1/k never exceeds min(l, (d-1)//|k|).
     """
-    accumulated: dict[tuple[tuple[int, int], ...], int] = {}
-    for pole_keys, c in _weighted_terms(mu, monotone_affine):
-        key = tuple(sorted(Counter(k for keys in pole_keys for k in keys).items()))
-        accumulated[key] = accumulated.get(key, 0) + c
-    den = factorial(mu.size)
+    d, w = mu.size, mu.length.bit_length()
+
+    def packed(n: int, m: int) -> tuple[int, int]:
+        keys, h = monotone_affine(n, m)
+        return sum(1 << w * (k + d - 1) for k in keys), h
+
+    def poles(key: int) -> dict[int, int]:
+        mask = (1 << w) - 1
+        return {k: e for k in range(1 - d, d) if (e := key >> w * (k + d - 1) & mask)}
+
+    den = factorial(d)
     return common_denominator_sum(
-        (Fraction(c, den), dict(key)) for key, c in accumulated.items()
+        (Fraction(c, den), poles(key)) for key, c in _key_totals(mu, packed).items()
     )
 
 
@@ -168,9 +169,6 @@ def simple_generating(mu: Partition) -> dict[int, Fraction]:
     Support is contained in |k| <= d(d-1)/2 and obeys the parity
     D(mu;k) = (-1)^{d+l} D(mu;-k).
     """
-    accumulated: dict[int, int] = {}
-    for exponents, c in _weighted_terms(mu, simple_affine):
-        k = sum(exponents)
-        accumulated[k] = accumulated.get(k, 0) + c
     den = factorial(mu.size) * prod(mu.parts)
-    return {k: Fraction(c, den) for k, c in sorted(accumulated.items()) if c}
+    totals = _key_totals(mu, simple_affine)
+    return {k: Fraction(c, den) for k, c in sorted(totals.items()) if c}

@@ -11,13 +11,16 @@ cycle, then count edge sequences under their least rotation.
 ``_signature_summaries`` and ``_cycle_classes`` are the walk npoint ran
 before its block sum: ``ref_weighted_pair_sums`` walks each edge sequence
 up to rotation once and scales it by its number of cycles, zero totals
-included.  ``ref_block_weight`` is the block weight W(t, m) as npoint
-summed it before the polynomial form: the signed walk over the label sets
-L before the block's least label.  ``conjugate`` and ``hook_product`` are
+included.  ``ref_block_pair_sums`` is the block sum npoint ran before
+its DP over block states: every block sequence on one stack, and a total
+kept per affine (n, m) pair multiset.  ``ref_block_weight`` is the block
+weight W(t, m) as npoint summed it before the polynomial form: the signed
+walk over the label sets L before the block's least label.  ``conjugate`` and ``hook_product`` are
 the Young-diagram helpers that the partition and affine tests check
 against.  ``ref_generating`` is the weighting npoint ran before its
-weights became integers over d!: every pair multiset's total times a
-``Fraction`` prefactor per pair, accumulated in ``Fraction``.
+weights became integers over d!: every pair multiset's total, from
+``ref_block_pair_sums``, times a ``Fraction`` prefactor per pair,
+accumulated in ``Fraction``.
 ``ref_evaluate`` is the one-genus evaluation closedform ran before its
 values were carried from row to row: every k^b computed afresh from the
 terms.  ``tau_correlator`` is the Witten-Kontsevich intersection number
@@ -31,7 +34,7 @@ from itertools import product
 from math import comb, lcm, prod
 
 from hurwitz.exactarith import Poly, common_denominator_sum
-from hurwitz.npoint import _weighted_pair_sums, enumerate_cycles
+from hurwitz.npoint import _block_weights, enumerate_cycles
 from hurwitz.partitions import Partition
 
 
@@ -257,6 +260,52 @@ def ref_weighted_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], i
     return out
 
 
+def ref_block_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]:
+    """Total signed multiplicity of each affine (n, m) pair multiset.
+
+    Sums the block sequences of npoint's module docstring over every m_0 and
+    folds in the global (-1)^{l-1}; multisets whose total is zero are left
+    out.  The block choices of each (parts left, m) are found once.
+    """
+    values = tuple(sorted(set(mu.parts), reverse=True))
+    counts = tuple(mu.parts.count(v) for v in values)
+    unpinned = (0,) * len(values)
+    anchor = (1,) + unpinned[1:]  # label 1 takes one of the largest parts
+
+    def size(t: tuple[int, ...]) -> int:
+        return sum(v * k for v, k in zip(values, t))
+
+    @cache
+    def blocks(left: tuple[int, ...], m: int, pinned: tuple[int, ...]):
+        # (parts left after the block, its n, their size, weight times ways)
+        choices = []
+        for t in product(*(range(a, k + 1) for a, k in zip(pinned, left))):
+            # a block holds more than m; this also drops the empty t, whose W is 1
+            weight = _block_weights(values, t)[m] if size(t) > m else 0
+            if weight:
+                ways = prod(comb(k - a, j - a) for k, j, a in zip(left, t, pinned))
+                rest = tuple(k - j for k, j in zip(left, t))
+                choices.append((rest, size(t) - 1 - m, size(rest), weight * ways))
+        return choices
+
+    global_sign = -1 if mu.length % 2 == 0 else 1
+    out: dict[tuple[tuple[int, int], ...], int] = {}
+    # (parts left, m entering the next block, pinned, m_0, pairs so far, weight)
+    stack = [(counts, m0, anchor, m0, (), global_sign) for m0 in range(mu.size)]
+    while stack:
+        left, m, pinned, m0, pairs, weight = stack.pop()
+        for rest, n, rest_size, w in blocks(left, m, pinned):
+            if rest_size:
+                for m_next in range(rest_size):
+                    stack.append(
+                        (rest, m_next, unpinned, m0, pairs + ((n, m_next),), weight * w)
+                    )
+            else:
+                key = tuple(sorted(pairs + ((n, m0),)))
+                out[key] = out.get(key, 0) + weight * w
+    return {pairs: total for pairs, total in out.items() if total}
+
+
 def ref_block_weight(values: tuple[int, ...], t: tuple[int, ...], m: int) -> int:
     """W(t, m) of the npoint docstring; t[i] parts of value values[i], decreasing."""
     top = next(v for v, count in zip(values, t) if count)
@@ -304,7 +353,7 @@ def ref_generating(mu: Partition, kind: str):
     pole multiset, keys -n..m without 0 for each pair (monotone).
     """
     accumulated: dict = {}
-    for pairs, total in _weighted_pair_sums(mu).items():
+    for pairs, total in ref_block_pair_sums(mu).items():
         coeff = prod((ref_prefactor(n, m) for n, m in pairs), start=Fraction(total))
         if kind == "simple":
             key = sum((m * m + m - n * n - n) // 2 for n, m in pairs)

@@ -1,16 +1,18 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from hurwitz import npoint
+from hurwitz.affine import monotone_affine, simple_affine
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
     _block_weights,
-    _weighted_pair_sums,
+    _key_totals,
     enumerate_cycles,
     monotone_generating,
     simple_generating,
@@ -23,10 +25,12 @@ from dense_reference import (
     _signature_summaries,
     as_pair,
     edge_sequence,
+    ref_block_pair_sums,
     ref_block_weight,
     ref_cycle_classes,
     ref_flip,
     ref_generating,
+    ref_prefactor,
     ref_taylor,
     ref_weighted_pair_sums,
 )
@@ -206,7 +210,7 @@ class TestBlockWeight:
 class TestWeightedPairSums:
     def test_one_part_is_the_diagonal_sum(self):
         # the loop edge 1 -> 1 closes with one affine pair, n + m = d - 1
-        assert _weighted_pair_sums(part(4)) == {((n, 3 - n),): 1 for n in range(4)}
+        assert ref_block_pair_sums(part(4)) == {((n, 3 - n),): 1 for n in range(4)}
 
     def test_equals_the_reference_walk(self):
         # the block sum keeps every nonzero total of the walk over cycles,
@@ -214,25 +218,59 @@ class TestWeightedPairSums:
         for d in range(1, 10):
             for mu in partitions_of(d):
                 walk = {pairs: v for pairs, v in ref_weighted_pair_sums(mu).items() if v}
-                assert _weighted_pair_sums(mu) == walk, mu
+                assert ref_block_pair_sums(mu) == walk, mu
 
     def test_degree_balance(self):
         # the pairs' n + m + 1 telescope to d, so every multiset's weight is
         # an integer over d!
         for d in range(1, 10):
             for mu in partitions_of(d):
-                for pairs in _weighted_pair_sums(mu):
+                for pairs in ref_block_pair_sums(mu):
                     assert sum(n + m + 1 for n, m in pairs) == d, (mu, pairs)
 
     def test_pinned_for_degree_nine(self):
-        # the walk keeps 1087 zero totals, the engine none; dropping them
-        # from the walk gives the engine's digest
+        # the walk keeps 1087 zero totals, the block sum none; dropping them
+        # from the walk gives the block sum's digest
         assert pair_sums_digest(ref_weighted_pair_sums) == (
             "0ef9a7c174880e3ddab2f0691cbcabdc6825512875017311fdf4cd48f0496235"
         )
-        assert pair_sums_digest(_weighted_pair_sums) == (
+        assert pair_sums_digest(ref_block_pair_sums) == (
             "4e69a0e38be3b9100e89cd3ac825a5b405b3d0ac80cf1ece825b619ad1941716"
         )
+
+
+class TestKeyTotals:
+    def test_equal_the_reference_folded_by_key(self):
+        # the DP's integer total per key, before any Fraction or pole merge,
+        # against the reference's pair multisets weighed by d! prod 1/h and
+        # folded per exponent sum or per pole multiset; poles are packed at
+        # base 2^8, as no pole repeats more than l <= 9 times
+        def pole_key(d, poles):
+            return sum(e << 8 * (k + d) for k, e in poles.items())
+
+        def packed(d):
+            def affine(n, m):
+                keys, h = monotone_affine(n, m)
+                return pole_key(d, dict.fromkeys(keys, 1)), h
+            return affine
+
+        for d in range(2, 10):
+            for mu in partitions_of(d):
+                simple, monotone = {}, {}
+                for pairs, total in ref_block_pair_sums(mu).items():
+                    c = total * factorial(d) * prod(ref_prefactor(n, m) for n, m in pairs)
+                    exponent = sum((m * m + m - n * n - n) // 2 for n, m in pairs)
+                    poles = Counter(k for n, m in pairs for k in range(-n, m + 1) if k)
+                    simple[exponent] = simple.get(exponent, 0) + c
+                    key = pole_key(d, poles)
+                    monotone[key] = monotone.get(key, 0) + c
+                for dp, ref in (
+                    (_key_totals(mu, simple_affine), simple),
+                    (_key_totals(mu, packed(d)), monotone),
+                ):
+                    assert {k: c for k, c in dp.items() if c} == {
+                        k: c for k, c in ref.items() if c
+                    }, mu
 
 
 class TestMonotoneGenerating:

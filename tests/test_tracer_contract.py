@@ -20,10 +20,11 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 CASES = [
     (
-        # affine.calls: one per pair of each multiset with a nonzero pair sum
+        # affine.calls: one per edge of the engine's DP over block states,
+        # a block choice with the m of the pair that leaves it
         "closed-form --kind monotone --mu 4,4,2,2 --format json",
         {
-            "affine.calls": 768,
+            "affine.calls": 620,
             "closedform.terms": 20,
             "exactarith.pf_terms": 40,
             "npoint.numerator_degree": 32,
@@ -43,7 +44,7 @@ CASES = [
     ),
     (
         "closed-form --kind simple --mu 4,2,1 --format json",
-        {"affine.calls": 78, "closedform.terms": 8},
+        {"affine.calls": 64, "closedform.terms": 8},
     ),
     (
         "oracle --kind simple --mu 3 --genus 0",
