@@ -43,10 +43,12 @@ ENGINE_MAX_PARTS = 10
 # table up to genus 2000 (1.0 s); 2.1e10 is table up to genus 2500 (1.7 s).
 GENUS_MAX_B_SQUARES = 2 * 10**10
 # Over every partition of 7 and 8 at b = 10, 11 and 12 in both kinds, the
-# slowest oracle query is simple (2,2,1,1,1,1) at b = 12: 3.3-4.9 s and 74 MB
-# in a fresh process.  One step further, b = 13 takes 5.5 s for (4,1,1,1,1),
-# and d = 9 takes 8.1 s and 155 MB for (3,3,2,1) at b = 11 (2-vCPU x86,
-# Python 3.11).
+# slowest oracle queries are monotone (3,1,1,1,1,1) and (2,2,1,1,1,1) at
+# b = 12: 0.11-0.13 s of counting and 19 MB in a fresh process, 0.14-0.19 s
+# for the whole request.  One step further, b = 13 takes 0.08 s for
+# (4,1,1,1,1), and d = 9 takes 0.11 s for (3,3,2,1) at b = 11 (2-vCPU x86,
+# Python 3.11).  So these caps sit well inside the oracle's reach; they stay
+# until every guard is re-set by measured cost.
 ORACLE_MAX_DEGREE = 8
 ORACLE_MAX_BRANCH_POINTS = 12
 
@@ -396,11 +398,7 @@ def main(argv=None) -> int:
             option, dest, least = args.bound
             if getattr(args, dest) < least:
                 raise ValueError(f"{option} must be >= {least}")
-        try:
-            document = args.handler(args)
-        except RecursionError:
-            # a forced oracle query: its memoized walk recurses once per slot
-            raise ValueError("recursion too deep for this request") from None
+        document = args.handler(args)
         rendered = _render(document, args.format)
         try:
             if args.output:

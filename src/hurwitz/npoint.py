@@ -74,7 +74,8 @@ def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
     """All (l-1)! full cycles on {1..l}, as visiting sequences starting at 1.
 
     The engine does not call it; it stays because perfbench/tracer.py wraps
-    it by name.  The tests' reference walk lists its cycles from it.
+    it by name.  The tests' reference ``ref_cycle_classes`` lists its cycles
+    from it.
     """
     return [(1,) + rest for rest in permutations(range(2, l + 1))]
 

@@ -231,18 +231,18 @@ def test_criterion_4_oracle_equivalence():
 
 def test_oracle_equivalence_to_degree_eight(closed_forms):
     # criterion 4 widened to every profile the default oracle guard admits
-    # (d <= 8), at b <= 8
+    # (d <= 8), at b <= 8 or g <= 1; g = 1 reaches b = 16, past the CLI cap
     triples = 0
     for d in range(2, 9):
         for mu in partitions_of(d):
             for kind, build in closed_forms.items():
                 form = build(mu)
                 g = 0
-                while 2 * g - 2 + mu.size + mu.length <= 8:
+                while 2 * g - 2 + mu.size + mu.length <= 8 or g <= 1:
                     assert evaluate(form, g) == oracle_hurwitz(mu, g, kind), (mu, g, kind)
                     triples += 1
                     g += 1
-    assert triples == 142
+    assert triples == 284
 
 
 def test_criterion_5_simple_structure_sweep():

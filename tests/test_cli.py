@@ -234,12 +234,12 @@ class TestOracleCommand:
             1, "", "error: oracle search space too large: b = 13 > 12 (use --force)\n"
         )
 
-    def test_forced_deep_query_is_an_error_line(self, capsys):
-        # b = 501 slots: the memoized walk recurses once per slot
+    def test_forced_deep_query_counts(self, capsys):
+        # b = 501 slots, one forward layer each: no recursion limit applies
         result = run(
             capsys, "oracle", "--kind", "simple", "--mu", "2", "--genus", "250", "--force"
         )
-        assert result == (1, "", "error: recursion too deep for this request\n")
+        assert result == (0, "mu=2 kind=simple genus=250 b=501 count=1 hurwitz=1/2\n", "")
 
     def test_counts_once_per_request(self, capsys, monkeypatch):
         calls = []

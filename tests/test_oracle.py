@@ -8,7 +8,7 @@ from hurwitz.closedform import evaluate, monotone_closed_form, simple_closed_for
 from hurwitz.oracle import count_constellations, oracle_hurwitz
 from hurwitz.partitions import Partition, aut_order, partitions_of
 
-from oracle_reference import member_counts
+from oracle_reference import member_counts, representative_walk_count
 
 
 def part(*parts):
@@ -131,6 +131,27 @@ class TestCountConstellations:
                             b,
                             monotone,
                         )
+
+    def test_matches_recursive_walk(self):
+        # the forward layers against the memoized walk they replaced: every
+        # partition with d <= 7 at every b <= 8, in both kinds (792 queries)
+        queries = 0
+        for d in range(1, 8):
+            for mu in partitions_of(d):
+                for b in range(9):
+                    for monotone in (False, True):
+                        expected = representative_walk_count(mu, b, monotone)
+                        assert count_constellations(mu, b, monotone) == expected, (
+                            mu,
+                            b,
+                            monotone,
+                        )
+                        queries += 1
+        assert queries == 792
+
+    def test_no_recursion_limit(self):
+        # the recursive walk raised RecursionError here: one frame per slot
+        assert count_constellations(part(2), 1001) == 1
 
     def test_monotone_at_most_simple(self):
         cases = [(part(4), 3), (part(3, 1), 4), (part(2, 2), 4), (part(5), 4)]
