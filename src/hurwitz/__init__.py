@@ -1,6 +1,5 @@
 """Exact closed-in-genus Hurwitz numbers: engine, oracle, and checks."""
 
-from .affine import monotone_affine, simple_affine
 from .closedform import (
     GenusClosedForm,
     StructureReport,
@@ -16,7 +15,7 @@ from .exactarith import (
     Poly,
     partial_fractions,
 )
-from .npoint import monotone_generating, simple_generating
+from .npoint import monotone_affine, monotone_generating, simple_affine, simple_generating
 from .partitions import Partition, partitions_of
 
 __version__ = "0.1.0"

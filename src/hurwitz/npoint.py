@@ -9,7 +9,12 @@ joins the i-th and (i+1)-th vertices along the cycle and carries either
   smaller-labelled variable and +h on the larger, sign +1 when the edge
   runs small -> large and -1 otherwise, or
 * an affine term with indices (n, m): exponents -n-1 on the tail variable
-  and -m-1 on the head, weighted by the affine coordinate a_{n,m}.
+  and -m-1 on the head, weighted by the affine coordinate
+
+      a_{n,m} = (-1)^n / ((n+m+1) n! m!) * (hbar part),
+
+  where the hbar part is prod_{j=-m}^{n} 1/(1 + j*hbar) for the monotone
+  tau-function and e^{hbar (m^2+m-n^2-n)/2} for the simple one.
 
 Every vertex's two incident exponents must sum to -mu_v - 1, and only the
 product of the principal signs per multiset of affine (n, m) pairs reaches
@@ -39,13 +44,15 @@ m holds more than m, so each m_i ranges below the parts still left.
 
 These sequences are summed by a DP over block states (parts left, m,
 labels pinned, m_0), each memoized as a map from an int key to an int
-total up to the cycle's close.  Pair (n, m) has prefactor 1/h, h =
-(-1)^n (n+m+1) n! m!, and the pairs' n + m + 1 add up to d; so with
-rem = mu(left) + m_0 - m still to deal, a pair weighs the integer
-C(rem, n+m+1) (n+m+1)!/h, and a cycle d!/prod h over d!.  Keys add along
-the cycle: the exponent k of e^{k*hbar} (simple), or the poles as
-base-2^w digits at k + d - 1, w = l.bit_length() (monotone); a pair holds
-each pole once and a cycle at most l pairs, so no digit carries.
+total up to the cycle's close.  The pairs' n + m + 1 add up to d, and
+(n+m+1)! times a_{n,m}'s scalar is (-1)^n C(n+m, n); so with rem =
+mu(left) + m_0 - m still to deal, pair (n, m) weighs the integer
+(-1)^n C(n+m, n) C(rem, n+m+1), and a cycle's scalars multiply to an
+integer over d!.  A pair's hbar part is its int key, and keys add along
+the cycle: the exponent k of e^{k*hbar} (simple), or the keys k = -j of
+the poles 1/(1 - k*hbar) as base-2^w digits at k + d - 1,
+w = l.bit_length() (monotone); a pair holds each pole once and a cycle at
+most l pairs, so no digit carries.
 
 For l = 1 the loop edge 1 -> 1 is one block with one pair (n, m),
 n + m = d - 1: the plain diagonal sum of the one-point function.  For
@@ -59,15 +66,36 @@ from functools import cache
 from itertools import accumulate, permutations, product
 from math import comb, factorial, prod
 
-from .affine import monotone_affine, simple_affine
 from .exactarith import FactoredRationalFunction, common_denominator_sum
 from .partitions import Partition
 
 __all__ = [
     "enumerate_cycles",
+    "monotone_affine",
+    "simple_affine",
     "monotone_generating",
     "simple_generating",
 ]
+
+
+@cache
+def monotone_affine(n: int, m: int) -> tuple[int, ...]:
+    """The poles of a_{n,m}'s monotone hbar part, as keys k of 1/(1 - k*hbar).
+
+    The factor 1/(1 + j*hbar) has key k = -j, so keys run over -n..m
+    without 0, each once.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+    return tuple(k for k in range(-n, m + 1) if k)
+
+
+@cache
+def simple_affine(n: int, m: int) -> int:
+    """The exponent k of a_{n,m}'s simple hbar part e^{k*hbar}."""
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+    return (m * m + m - n * n - n) // 2
 
 
 def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
@@ -91,7 +119,7 @@ def _block_weights(values: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ..
 
 
 def _key_totals(mu: Partition, affine) -> dict[int, int]:
-    """The module docstring's DP; ``affine(n, m)`` gives a pair's (int key, h)."""
+    """The module docstring's DP; ``affine(n, m)`` gives a pair's int key."""
     if mu.size < 2:
         raise ValueError("degree must be >= 2")
     values = tuple(sorted(set(mu.parts), reverse=True))
@@ -121,12 +149,8 @@ def _key_totals(mu: Partition, affine) -> dict[int, int]:
         rem, out = size(left) + m0 - m, {}
         for rest, n, rest_size, w in blocks(left, m, pinned):
             for m_next in range(rest_size) if rest_size else (m0,):
-                key, h = affine(n, m_next)
-                s = n + m_next + 1
-                weight, r = divmod(factorial(s), h)
-                if r:
-                    raise ArithmeticError(f"hook product of {(n, m_next)} does not divide {s}!")
-                weight *= w * comb(rem, s)
+                key, s = affine(n, m_next), n + m_next + 1
+                weight = (-1) ** n * comb(s - 1, n) * comb(rem, s) * w
                 ends = tail(rest, m_next, unpinned, m0) if rest_size else {0: 1}
                 for k, total in ends.items():
                     out[key + k] = out.get(key + k, 0) + weight * total
@@ -148,9 +172,8 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     """
     d, w = mu.size, mu.length.bit_length()
 
-    def packed(n: int, m: int) -> tuple[int, int]:
-        keys, h = monotone_affine(n, m)
-        return sum(1 << w * (k + d - 1) for k in keys), h
+    def packed(n: int, m: int) -> int:
+        return sum(1 << w * (k + d - 1) for k in monotone_affine(n, m))
 
     def poles(key: int) -> dict[int, int]:
         mask = (1 << w) - 1

@@ -7,14 +7,14 @@ from math import comb, factorial, prod
 
 import pytest
 
-from hurwitz import npoint
-from hurwitz.affine import monotone_affine, simple_affine
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
     _block_weights,
     _key_totals,
     enumerate_cycles,
+    monotone_affine,
     monotone_generating,
+    simple_affine,
     simple_generating,
 )
 from hurwitz.oracle import oracle_hurwitz
@@ -250,8 +250,7 @@ class TestKeyTotals:
 
         def packed(d):
             def affine(n, m):
-                keys, h = monotone_affine(n, m)
-                return pole_key(d, dict.fromkeys(keys, 1)), h
+                return pole_key(d, dict.fromkeys(monotone_affine(n, m), 1))
             return affine
 
         for d in range(2, 10):
@@ -360,15 +359,6 @@ class TestIntegerWeights:
         for mu in profiles:
             assert simple_generating(mu) == ref_generating(mu, "simple"), mu
             assert monotone_generating(mu) == ref_generating(mu, "monotone"), mu
-
-    def test_hook_product_not_dividing_d_factorial_raises(self, monkeypatch):
-        # 7 divides no 3!, so no weight of (3) can be an integer over it
-        monkeypatch.setattr(npoint, "simple_affine", lambda n, m: (0, 7))
-        monkeypatch.setattr(npoint, "monotone_affine", lambda n, m: ((), 7))
-        with pytest.raises(ArithmeticError, match="does not divide"):
-            simple_generating(part(3))
-        with pytest.raises(ArithmeticError, match="does not divide"):
-            monotone_generating(part(3))
 
 
 class TestEngineInvariants:
