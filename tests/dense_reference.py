@@ -16,8 +16,9 @@ its DP over block states: every block sequence on one stack, and a total
 kept per affine (n, m) pair multiset.  ``ref_block_weight`` is the block
 weight W(t, m) as npoint summed it before the polynomial form: the signed
 walk over the label sets L before the block's least label.  ``conjugate`` and ``hook_product`` are
-the Young-diagram helpers that the partition tests check and that
-``ref_prefactor`` weighs each pair with.  ``ref_generating`` is the weighting npoint ran before its
+the Young-diagram helpers that the partition tests check, that
+``ref_prefactor`` weighs each pair with, and that the npoint tests check
+the one-part pair weights against.  ``ref_generating`` is the weighting npoint ran before its
 weights became integers over d!: every pair multiset's total, from
 ``ref_block_pair_sums``, times a ``Fraction`` prefactor per pair,
 accumulated in ``Fraction``.

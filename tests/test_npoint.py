@@ -29,6 +29,7 @@ from dense_reference import (
     ref_block_weight,
     ref_cycle_classes,
     ref_flip,
+    hook_product,
     ref_generating,
     ref_prefactor,
     ref_taylor,
@@ -271,6 +272,26 @@ class TestKeyTotals:
                         k: c for k, c in ref.items() if c
                     }, mu
 
+    def test_one_part_weighs_d_factorial_over_the_signed_hook(self):
+        # mu = (d) is one block with W = 1 and one pair (n, d - 1 - n), so the
+        # total keyed by n is d! a_{n,m}'s scalar: d! over the signed hook
+        # product (-1)^n (n+m+1) n! m! of the shape (m+1, 1^n)
+        for d in range(2, 16):
+            expected = {}
+            for n in range(d):
+                hook = hook_product(Partition((d - n,) + (1,) * n))
+                expected[n] = (-1) ** n * factorial(d) // hook
+                assert expected[n] * hook == (-1) ** n * factorial(d)
+            assert _key_totals(part(d), lambda n, m: n) == expected, d
+
+    def test_totals_are_ints(self):
+        # the pair weights are integers by construction: no Fraction or
+        # float may enter a total
+        for d in range(2, 9):
+            for mu in partitions_of(d):
+                for affine in (simple_affine, lambda n, m: len(monotone_affine(n, m))):
+                    assert all(type(c) is int for c in _key_totals(mu, affine).values()), mu
+
 
 class TestMonotoneGenerating:
     def test_profile_two(self):
@@ -369,6 +390,16 @@ class TestEngineInvariants:
             f = monotone_generating(mu)
             start = mu.size + mu.length - 2
             assert all(c == 0 for c in f.numerator.coeffs[:start])
+
+    def test_simple_series_starts_at_genus_zero(self):
+        # sum_k D(mu;k) e^{k*hbar} has hbar^j / j! coefficient sum_k D k^j:
+        # zero below b = d + l - 2, and H_{0;mu} at it
+        for mu in self.PROFILES:
+            e = simple_generating(mu)
+            start = mu.size + mu.length - 2
+            moments = [sum(c * k**j for k, c in e.items()) for j in range(start + 1)]
+            assert moments[:start] == [0] * start, mu
+            assert moments[start] == oracle_hurwitz(mu, 0, "simple"), mu
 
     def test_monotone_parity(self):
         for mu in self.PROFILES:
