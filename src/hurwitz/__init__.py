@@ -1,53 +1,40 @@
-"""Exact closed-in-genus Hurwitz numbers: engine, oracle, and checks."""
+"""Exact closed-in-genus Hurwitz numbers: engine, oracle, and checks.
+
+The package exports the names of the README's library quick start; the
+internals, such as ``Poly`` or ``partial_fractions``, are imported from
+their own modules.
+"""
 
 from .closedform import (
-    GenusClosedForm,
-    StructureReport,
     asymptotics,
     evaluate,
     monotone_closed_form,
     simple_closed_form,
     structure_checks,
 )
-from .exactarith import (
-    FactoredRationalFunction,
-    PartialFraction,
-    Poly,
-    partial_fractions,
-)
-from .npoint import monotone_affine, monotone_generating, simple_affine, simple_generating
-from .partitions import Partition, partitions_of
+from .npoint import monotone_generating, simple_generating
+from .partitions import Partition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
-    "partitions_of",
-    "Poly",
-    "FactoredRationalFunction",
-    "PartialFraction",
-    "partial_fractions",
-    "monotone_affine",
-    "simple_affine",
-    "monotone_generating",
-    "simple_generating",
-    "GenusClosedForm",
-    "StructureReport",
     "monotone_closed_form",
     "simple_closed_form",
     "evaluate",
+    "oracle_hurwitz",
+    "monotone_generating",
+    "simple_generating",
     "structure_checks",
     "asymptotics",
-    "count_constellations",
-    "oracle_hurwitz",
     "__version__",
 ]
 
 
 def __getattr__(name: str):
     # The oracle loads on first use: a request that counts nothing skips it.
-    if name in ("count_constellations", "oracle_hurwitz"):
-        from . import oracle
+    if name == "oracle_hurwitz":
+        from .oracle import oracle_hurwitz
 
-        return getattr(oracle, name)
+        return oracle_hurwitz
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

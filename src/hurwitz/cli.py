@@ -10,8 +10,9 @@ Usage:
     hurwitz asymptotics --kind monotone --mu 5,3
 
 Exit codes: 0 success, 1 usage or guard error, 2 verification mismatch.
-Rationals always print exactly as "p/q"; decimals appear only as a
-display-only column in tables.
+Only this module turns exact values into text: rationals always print
+exactly as "p/q", and decimals appear only as a display-only column in
+tables.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import closedform
 from .closedform import GenusClosedForm
-from .exactarith import format_rational
 from .partitions import Partition, branch_points, partitions_of
 
 __all__ = ["main", "entry"]
@@ -123,8 +123,13 @@ def _decimal_string(exact: str) -> str:
         return str(Decimal(numerator) / Decimal(denominator or 1))
 
 
-def _optional_rational(value: Fraction | None) -> str | None:
-    return None if value is None else format_rational(value)
+def _rational(value: Fraction | None) -> str | None:
+    """The one text form of an exact value: "p/q", or "p" when whole; None stays None."""
+    if value is None:
+        return None
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 class _Document(NamedTuple):
@@ -178,9 +183,16 @@ def _render(document: _Document, fmt: str) -> str:
 
 
 def _cmd_closed_form(args) -> _Document:
-    payload = closedform.to_json_dict(
-        _closed_form(args.kind, _parse_mu(args.mu), args.force)
-    )
+    mu = _parse_mu(args.mu)
+    form = _closed_form(args.kind, mu, args.force)
+    terms = [{"k": k, "i": i, "coeff": _rational(c)} for k, i, c in form.terms]
+    payload = {
+        "kind": args.kind,
+        "mu": list(mu.parts),
+        "b_offset": branch_points(mu, 0),
+        "normalization": _rational(form.normalization),
+        "terms": terms,
+    }
     head = [
         f"kind: {args.kind}",
         f"mu: {_cell(payload['mu'])}",
@@ -189,7 +201,7 @@ def _cmd_closed_form(args) -> _Document:
         "terms (coeff * b^(i-1) * k^b):",
     ]
     return _Document(
-        payload, ("k", "i", "coeff"), payload["terms"], head,
+        payload, ("k", "i", "coeff"), terms, head,
         lambda t: f"  k={t['k']} i={t['i']} coeff={t['coeff']}",
     )
 
@@ -203,7 +215,7 @@ def _cmd_eval(args) -> _Document:
         "mu": list(mu.parts),
         "genus": args.genus,
         "b": branch_points(mu, args.genus),
-        "value": format_rational(closedform.evaluate(form, args.genus)),
+        "value": _rational(closedform.evaluate(form, args.genus)),
     }
     return _Document(
         payload, ("kind", "mu", "genus", "value"), [payload], [], lambda p: p["value"]
@@ -216,7 +228,7 @@ def _cmd_table(args) -> _Document:
     form = _closed_form(args.kind, mu, args.force)
     rows = []
     for g, value in zip(range(args.genus_max + 1), closedform.values(form)):
-        exact = format_rational(value)
+        exact = _rational(value)
         rows.append(
             {
                 "g": g,
@@ -245,7 +257,7 @@ def _cmd_oracle(args) -> _Document:
         "genus": args.genus,
         "b": branch_points(mu, args.genus),
         "count": count,
-        "hurwitz": format_rational(value),
+        "hurwitz": _rational(value),
     }
     return _Document(
         payload, ("kind", "mu", "genus", "b", "count", "hurwitz"), [payload], [],
@@ -268,8 +280,8 @@ def _cmd_verify(args) -> _Document:
         rows.append(
             {
                 "g": g,
-                "closed_form": format_rational(lhs),
-                "oracle": format_rational(rhs),
+                "closed_form": _rational(lhs),
+                "oracle": _rational(rhs),
                 "match": lhs == rhs,
             }
         )
@@ -303,11 +315,11 @@ def _cmd_checks(args) -> _Document:
                 {
                     "d": d,
                     "mu": list(mu.parts),
-                    "top": format_rational(report.top_coefficient),
-                    "expected_top": format_rational(report.expected_top),
+                    "top": _rational(report.top_coefficient),
+                    "expected_top": _rational(report.expected_top),
                     "gap_all_zero": report.gap_all_zero,
-                    "second": _optional_rational(report.second_coefficient),
-                    "expected_second": _optional_rational(report.expected_second),
+                    "second": _rational(report.second_coefficient),
+                    "expected_second": _rational(report.expected_second),
                     "pass": report.passed,
                 }
             )
@@ -334,7 +346,7 @@ def _cmd_asymptotics(args) -> _Document:
     mu = _parse_mu(args.mu)
     form = _closed_form(args.kind, mu, args.force)
     terms = [
-        {"k": t.k, "i": t.i, "coeff": format_rational(t.coeff), "leading": t.leading}
+        {"k": t.k, "i": t.i, "coeff": _rational(t.coeff), "leading": t.leading}
         for t in closedform.asymptotics(form)
     ]
     payload = {

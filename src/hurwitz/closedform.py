@@ -21,7 +21,7 @@ from operator import index
 from typing import Iterator, NamedTuple
 
 from . import npoint
-from .exactarith import format_rational, partial_fractions, recombine
+from .exactarith import partial_fractions, recombine
 from .frozen import Frozen
 from .partitions import Partition, branch_points
 
@@ -36,7 +36,6 @@ __all__ = [
     "structure_checks",
     "asymptotics",
     "monotone_leading_coefficient",
-    "to_json_dict",
 ]
 
 KIND_MONOTONE = "monotone"
@@ -223,15 +222,3 @@ def asymptotics(form: GenusClosedForm) -> tuple[AsymptoticTerm, ...]:
     d = form.mu.size
     cutoff = (d - 1) * (d - 2) // 2 if form.kind == KIND_SIMPLE else d - 1
     return tuple(AsymptoticTerm(k, i, c, k >= cutoff) for k, i, c in form.terms)
-
-
-def to_json_dict(form: GenusClosedForm) -> dict:
-    return {
-        "kind": form.kind,
-        "mu": list(form.mu.parts),
-        "b_offset": branch_points(form.mu, 0),
-        "normalization": format_rational(form.normalization),
-        "terms": [
-            {"k": k, "i": i, "coeff": format_rational(c)} for k, i, c in form.terms
-        ],
-    }

@@ -33,7 +33,6 @@ __all__ = [
     "common_denominator_sum",
     "partial_fractions",
     "recombine",
-    "format_rational",
 ]
 
 
@@ -233,11 +232,3 @@ def recombine(pf: PartialFraction) -> FactoredRationalFunction:
     return common_denominator_sum(
         [(pf.constant, {})] + [(c, {k: i}) for (k, i), c in pf.terms.items()]
     )
-
-
-def format_rational(value) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

@@ -10,16 +10,47 @@ import pytest
 
 import hurwitz.cli
 from hurwitz import closedform, oracle
-from hurwitz.cli import _decimal_string, main
-from hurwitz.closedform import to_json_dict
-from hurwitz.exactarith import format_rational
-from hurwitz.partitions import Partition, partitions_of
+from hurwitz.cli import _decimal_string, _rational, main
+from hurwitz.partitions import Partition, branch_points, partitions_of
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_payload_is_form(data, form):
+    """The printed closed-form payload, read back field by field against the form."""
+    assert list(data) == ["kind", "mu", "b_offset", "normalization", "terms"]
+    assert data["kind"] == form.kind
+    assert data["mu"] == list(form.mu.parts)
+    assert data["b_offset"] == branch_points(form.mu, 0)
+    assert Fraction(data["normalization"]) == form.normalization
+    terms = [(t["k"], t["i"], Fraction(t["coeff"])) for t in data["terms"]]
+    assert terms == list(form.terms)
+
+
+class TestRationalStrings:
+    def test_integer_renders_bare(self):
+        assert _rational(Fraction(7)) == "7"
+
+    def test_fraction_renders_with_slash(self):
+        assert _rational(Fraction(-7, 180)) == "-7/180"
+
+    def test_round_trip(self):
+        for text in ("0", "25", "-4", "1/2", "-1663/2160"):
+            assert _rational(Fraction(text)) == text
+
+    def test_none_passes_through(self):
+        assert _rational(None) is None
+
+    def test_zero_renders_as_zero(self):
+        assert _rational(Fraction(0)) == "0"
+
+    def test_negative_whole_value_has_no_denominator(self):
+        assert _rational(Fraction(-12, 3)) == "-4"
+        assert _rational(Fraction(-10**30)) == "-1" + "0" * 30
 
 
 class TestClosedFormCommand:
@@ -33,7 +64,7 @@ class TestClosedFormCommand:
         assert data["mu"] == [3, 3]
         assert len(data["terms"]) == 7
         assert {"k": 5, "i": 1, "coeff": "125/1728"} in data["terms"]
-        assert data == to_json_dict(closedform.monotone_closed_form(Partition((3, 3))))
+        assert_payload_is_form(data, closedform.monotone_closed_form(Partition((3, 3))))
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--kind", "simple", "--mu", "5")
@@ -199,7 +230,7 @@ class TestTableCommand:
         with localcontext() as ctx:
             ctx.prec = 6
             expected = str(Decimal(value.numerator) / Decimal(value.denominator))
-        assert _decimal_string(format_rational(value)) == expected
+        assert _decimal_string(_rational(value)) == expected
         if shown is not None:
             assert expected == shown
 
@@ -483,7 +514,7 @@ class TestJsonRoundTripInvariant:
                         "--format", "json",
                     )
                     assert code == 0
-                    assert json.loads(out) == to_json_dict(build(mu))
+                    assert_payload_is_form(json.loads(out), build(mu))
 
 
 # First line of each subcommand's --help at COLUMNS=200.

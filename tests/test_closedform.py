@@ -5,6 +5,7 @@ from math import comb, factorial, prod
 import pytest
 
 from hurwitz import closedform, npoint
+from hurwitz.cli import main
 from hurwitz.closedform import (
     asymptotics,
     evaluate,
@@ -12,7 +13,6 @@ from hurwitz.closedform import (
     monotone_leading_coefficient,
     simple_closed_form,
     structure_checks,
-    to_json_dict,
     values,
 )
 from hurwitz.exactarith import (
@@ -36,11 +36,18 @@ def F(num, den=1):
     return Fraction(num, den)
 
 
+def printed(capsys, form):
+    """The JSON payload that `closed-form` prints for the form's kind and mu."""
+    mu = ",".join(map(str, form.mu.parts))
+    assert main(["closed-form", "--kind", form.kind, "--mu", mu, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestMonotoneClosedForm:
-    def test_profile_five(self):
+    def test_profile_five(self, capsys):
         form = monotone_closed_form(part(5))
         assert form.normalization == F(1, 5)
-        assert to_json_dict(form)["b_offset"] == 4
+        assert printed(capsys, form)["b_offset"] == branch_points(form.mu, 0) == 4
         assert form.terms == (
             (4, 1, F(8, 45)),
             (3, 1, F(-9, 20)),
@@ -295,17 +302,19 @@ class TestAsymptotics:
 
 
 class TestSerialization:
-    def test_json_round_trip_small(self):
+    def test_json_round_trip_small(self, capsys):
         for mu in (part(5), part(3, 3), part(3, 2, 1), part(2)):
             for build in (monotone_closed_form, simple_closed_form):
                 form = build(mu)
-                data = json.loads(json.dumps(to_json_dict(form)))
+                data = printed(capsys, form)
+                assert (data["kind"], data["mu"]) == (form.kind, list(mu.parts))
+                assert data["b_offset"] == branch_points(mu, 0)
                 terms = [(t["k"], t["i"], Fraction(t["coeff"])) for t in data["terms"]]
                 assert terms == list(form.terms)
                 assert Fraction(data["normalization"]) == form.normalization
 
-    def test_json_schema_fields(self):
-        data = to_json_dict(monotone_closed_form(part(3, 3)))
+    def test_json_schema_fields(self, capsys):
+        data = printed(capsys, monotone_closed_form(part(3, 3)))
         assert set(data) == {"kind", "mu", "b_offset", "normalization", "terms"}
         assert data["mu"] == [3, 3]
         assert data["normalization"] == "1/9"

@@ -20,7 +20,6 @@ from hurwitz.exactarith import (
     Poly,
     _divide_linear,
     common_denominator_sum,
-    format_rational,
     partial_fractions,
     recombine,
 )
@@ -259,18 +258,6 @@ def test_add_commutes_and_evaluates(k1, k2, c1, c2, cancel):
     assert total == common_denominator_sum([b, a])
     x = Fraction(1, 101)
     assert ref_value(total, x) == c1 / (1 - k1 * x) + c2 / (1 - k2 * x)
-
-
-class TestRationalStrings:
-    def test_integer_renders_bare(self):
-        assert format_rational(Fraction(7)) == "7"
-
-    def test_fraction_renders_with_slash(self):
-        assert format_rational(Fraction(-7, 180)) == "-7/180"
-
-    def test_round_trip(self):
-        for text in ("0", "25", "-4", "1/2", "-1663/2160"):
-            assert format_rational(Fraction(text)) == text
 
 
 class TestImmutability:

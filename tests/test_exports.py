@@ -4,6 +4,7 @@ import importlib
 import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -125,6 +126,45 @@ def test_branch_points_have_one_home():
     assert not offenders, sorted(offenders)
 
 
+def test_only_the_cli_renders():
+    # Exact values become text in cli.py alone: no other module spells out
+    # "p/q" from a rational's parts or loads an output format.
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if {"numerator", "denominator"} <= attrs:
+                    offenders.add(f"{path.name}:{node.lineno}: p/q f-string")
+            imported = set()
+            if isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {node.module}
+            for name in sorted(imported & {"csv", "json"}):
+                offenders.add(f"{path.name}:{node.lineno}: import {name}")
+    assert not offenders, sorted(offenders)
+
+
+def test_package_exports_what_the_readme_documents():
+    # The quick start's import line and the names its prose puts in
+    # backticks are the package's exports, no more and no fewer.
+    text = (SRC.parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    fences = section.split("```")
+    block = fences[1].removeprefix("python\n")
+    documented = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "hurwitz"
+        for alias in node.names
+    }
+    documented.update(re.findall(r"`([A-Za-z_]\w*)`", "".join(fences[::2])))
+    assert set(hurwitz.__all__) - {"__version__"} == documented
+
+
 def test_cli_import_loads_no_module_a_request_may_not_need():
     # Every request is a fresh process that would pay these imports:
     # dataclasses pulls in inspect, and json and csv load with the one
@@ -149,18 +189,17 @@ def test_cli_import_loads_no_module_a_request_may_not_need():
 
 def test_cli_import_leaves_the_oracle_to_the_requests_that_count():
     # Only oracle and verify count factorizations; the package loads the
-    # oracle on first use of one of its two exported names.
+    # oracle on first use of its one exported name, oracle_hurwitz.
     probe = (
         "import sys, hurwitz.cli; print('hurwitz.oracle' in sys.modules)\n"
-        "from hurwitz import count_constellations, oracle_hurwitz\n"
-        "print('hurwitz.oracle' in sys.modules, oracle_hurwitz.__module__,"
-        " count_constellations.__module__)"
+        "from hurwitz import oracle_hurwitz\n"
+        "print('hurwitz.oracle' in sys.modules, oracle_hurwitz.__module__)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
         timeout=60, check=True,
     )
-    assert done.stdout.split() == ["False", "True", "hurwitz.oracle", "hurwitz.oracle"]
+    assert done.stdout.split() == ["False", "True", "hurwitz.oracle"]
     with pytest.raises(AttributeError, match="no attribute 'missing'"):
         hurwitz.missing
