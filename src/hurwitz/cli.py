@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, Context
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,10 +37,13 @@ ENGINE_MAX_DEGREE = 12
 # 0.24-0.41 s (simple) and 0.9-1.4 s (monotone), against 0.5-0.7 and 2.5-2.8 s
 # at 11 (2-vCPU x86, Python 3.11).
 ENGINE_MAX_PARTS = 10
-# eval and table print values of about b*log10(k) digits, and the int-to-str
-# conversion is quadratic, so their cost follows the sum of b^2 over the
-# requested genera.  On (4,4,4): 1e10 is eval at genus 50000 (0.9 s) or
-# table up to genus 2000 (1.0 s); 2.1e10 is table up to genus 2500 (1.7 s).
+# eval and table print values of about b*log10(k) digits.  eval's one value
+# goes through the int-to-str conversion, which is quadratic, so its cost
+# follows b^2: on (4,4,4), 1e10 is eval at genus 50000 (0.9 s).  table rows
+# are exact Decimals, whose str is linear, so a table is near-linear in its
+# digits: (4,4,4) up to genus 2000 takes 0.27 s and up to genus 2500 (2.1e10)
+# 0.34 s (fresh processes, 2-vCPU x86, Python 3.11).  The guard stays on the
+# sum of b^2 over the requested genera until eval's conversion is fast too.
 GENUS_MAX_B_SQUARES = 2 * 10**10
 # Over every partition of 7 and 8 at b = 10, 11 and 12 in both kinds, the
 # slowest oracle queries are monotone (3,1,1,1,1,1) and (2,2,1,1,1,1) at
@@ -51,6 +54,9 @@ GENUS_MAX_B_SQUARES = 2 * 10**10
 # until every guard is re-set by measured cost.
 ORACLE_MAX_DEGREE = 8
 ORACLE_MAX_BRANCH_POINTS = 12
+
+# The table's display-only decimal column: six significant digits, half-even.
+SIX = Context(prec=6, Emax=MAX_EMAX)
 
 _FORMATS = ("text", "json", "csv")
 _KINDS = ("simple", "monotone")
@@ -109,18 +115,6 @@ def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
     if kind == "monotone":
         return closedform.monotone_closed_form(mu)
     return closedform.simple_closed_form(mu)
-
-
-def _decimal_string(exact: str) -> str:
-    """Display-only rendering of a "p/q" or "p" to six significant digits.
-
-    Decimal reads the digits exactly, in time linear in their count, so the
-    big integers are not converted to decimal a second time.
-    """
-    numerator, _, denominator = exact.partition("/")
-    with localcontext() as ctx:
-        ctx.prec = 6
-        return str(Decimal(numerator) / Decimal(denominator or 1))
 
 
 def _rational(value: Fraction | None) -> str | None:
@@ -227,14 +221,14 @@ def _cmd_table(args) -> _Document:
     _genus_guard(mu, range(args.genus_max + 1), args.force)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
-    for g, value in zip(range(args.genus_max + 1), closedform.values(form)):
-        exact = _rational(value)
+    # Exact Decimal numerators print in linear time, where str(int) is quadratic.
+    for g, (num, den) in zip(range(args.genus_max + 1), closedform.decimal_values(form)):
         rows.append(
             {
                 "g": g,
                 "b": branch_points(mu, g),
-                "value": exact,
-                "decimal": _decimal_string(exact),
+                "value": str(num) if den == 1 else f"{num}/{den}",
+                "decimal": str(SIX.divide(num, den)),
             }
         )
     payload = {"kind": args.kind, "mu": list(mu.parts), "rows": rows}

@@ -6,8 +6,12 @@ and with b = branch_points(mu, g) the value at genus g is
 
     normalization * sum over terms of coeff * b^{i-1} * k^b.
 
-Values come from one iterator over consecutive genera: each k^b is computed
-once, at the starting genus, and carried to the next row by a factor k^2.
+Values come from one loop over consecutive genera, ``_totals``: each k^b
+is computed once, at the starting genus, and carried to the next row by a
+factor k^2.  The loop runs in two number types.  ``values`` carries Python
+ints and yields Fractions; ``decimal_values`` carries exact ``Decimal``s,
+whose base-10^19 limbs make the per-row multiply and the later ``str``
+linear in the digits, where ``str(int)`` is quadratic.
 
 Monotone forms come from partial fractions of the factored generating
 function (negative-k poles folded into positive k by parity); simple forms
@@ -15,8 +19,19 @@ scale the exponential-sum coefficients to integers.
 """
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import index
 from typing import Iterator, NamedTuple
 
@@ -32,6 +47,7 @@ __all__ = [
     "monotone_closed_form",
     "simple_closed_form",
     "values",
+    "decimal_values",
     "evaluate",
     "structure_checks",
     "asymptotics",
@@ -146,26 +162,66 @@ def simple_closed_form(mu: Partition) -> GenusClosedForm:
     return form
 
 
-def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
-    """Exact H or vecH at genus g, g+1, g+2, ... (g >= 0), without end.
+# Integer arithmetic in Decimal: any rounding raises instead of dropping digits.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation],
+)
 
-    The coefficients share one denominator, into which the normalization
-    p/q folds once; per pole k the value is a small polynomial in b times
-    k^b, and k^b moves to the next genus by k^2.
+
+def _totals(form: GenusClosedForm, g: int, power) -> Iterator[tuple]:
+    """(integer sum, common denominator) at genus g, g+1, ..., without end.
+
+    The coefficients share one denominator; per pole k the sum is a small
+    polynomial in b times k^b, where power(k, b) makes the first k^b in the
+    caller's number type and each later one is the last times k^2.
     """
     b = branch_points(form.mu, g)
     den = lcm(*(c.denominator for _, _, c in form.terms))
     poles: dict[int, list[tuple[int, int]]] = {}
     for k, i, c in form.terms:
         poles.setdefault(k, []).append((i - 1, c.numerator * (den // c.denominator)))
-    powers = {k: k**b for k in poles}
-    p, q = form.normalization.as_integer_ratio()
+    powers = {k: power(k, b) for k in poles}
     while True:
-        total = sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items())
-        yield Fraction(total * p, den * q)
+        yield sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items()), den
         for k in powers:
             powers[k] *= k * k
         b += 2
+
+
+def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
+    """Exact H or vecH at genus g, g+1, g+2, ... (g >= 0), without end.
+
+    The shared loop ``_totals`` carries the sums here in Python ints (and
+    in exact Decimal for ``decimal_values``); the normalization folds in
+    once per row.
+    """
+    p, q = form.normalization.as_integer_ratio()
+    for total, den in _totals(form, g, pow):
+        yield Fraction(total * p, den * q)
+
+
+def decimal_values(form: GenusClosedForm, g: int = 0) -> Iterator[tuple[Decimal, int]]:
+    """The rows of ``values`` as (numerator, denominator) in lowest terms.
+
+    The numerator is an integer-valued exact Decimal, the denominator a
+    positive int.  Each row is computed in an exact context that is left
+    before the yield, so the caller's decimal context never changes.
+    """
+    p, q = form.normalization.as_integer_ratio()
+    rows = _totals(form, g, lambda k, b: Decimal(k) ** b)
+    while True:
+        with localcontext(_EXACT):
+            total, den = next(rows)
+            num = Decimal(total) * p
+            den *= q
+            r = gcd(int(num % den), den)
+            if r > 1:
+                num //= r
+                den //= r
+        yield num, den
 
 
 def evaluate(form: GenusClosedForm, g: int) -> Fraction:

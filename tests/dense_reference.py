@@ -24,19 +24,25 @@ weights became integers over d!: every pair multiset's total, from
 accumulated in ``Fraction``.
 ``ref_evaluate`` is the one-genus evaluation closedform ran before its
 values were carried from row to row: every k^b computed afresh from the
-terms.  ``tau_correlator`` is the Witten-Kontsevich intersection number
-<tau_{k_1} ... tau_{k_n}>_g by the DVV recursion, for the polynomiality
-anchors.
+terms.  ``ref_table_rows`` renders ``table`` rows as the CLI did before
+its sums moved to Decimal: ``str`` of each Fraction from
+``closedform.values``, and those digits read into Decimal and divided at
+six significant digits.  ``tau_correlator`` is the Witten-Kontsevich
+intersection number <tau_{k_1} ... tau_{k_n}>_g by the DVV recursion, for
+the polynomiality anchors.
 """
+import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, lcm, prod
 
+from hurwitz.closedform import values
 from hurwitz.exactarith import Poly, common_denominator_sum
 from hurwitz.npoint import _block_weights, enumerate_cycles
-from hurwitz.partitions import Partition
+from hurwitz.partitions import Partition, branch_points
 
 
 def ref_trim(coeffs):
@@ -378,6 +384,24 @@ def ref_evaluate(form, g):
         c.numerator * (den // c.denominator) * b ** (i - 1) * k**b for k, i, c in form.terms
     )
     return form.normalization * Fraction(total, den)
+
+
+def ref_table_rows(form, genus_max):
+    """(g, b, value, decimal) strings of ``table`` for g = 0..genus_max."""
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = []
+        with localcontext() as ctx:
+            ctx.prec = 6
+            for g, value in zip(range(genus_max + 1), values(form)):
+                exact = str(value)
+                numerator, _, denominator = exact.partition("/")
+                shown = str(Decimal(numerator) / Decimal(denominator or 1))
+                rows.append((g, branch_points(form.mu, g), exact, shown))
+        return rows
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def _double_factorial(n: int) -> int:

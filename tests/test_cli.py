@@ -10,8 +10,10 @@ import pytest
 
 import hurwitz.cli
 from hurwitz import closedform, oracle
-from hurwitz.cli import _decimal_string, _rational, main
+from hurwitz.cli import SIX, _rational, main
 from hurwitz.partitions import Partition, branch_points, partitions_of
+
+from dense_reference import ref_table_rows
 
 
 def run(capsys, *argv):
@@ -227,12 +229,41 @@ class TestTableCommand:
         ],
     )
     def test_decimal_string_reads_the_exact_digits(self, value, shown):
+        # The table divides an exact Decimal numerator by an int denominator.
         with localcontext() as ctx:
             ctx.prec = 6
-            expected = str(Decimal(value.numerator) / Decimal(value.denominator))
-        assert _decimal_string(_rational(value)) == expected
+            expected = str(Decimal(str(value.numerator)) / Decimal(str(value.denominator)))
+        assert str(SIX.divide(Decimal(value.numerator), value.denominator)) == expected
         if shown is not None:
             assert expected == shown
+
+
+class TestTableAtBenchmarkScale:
+    # Rows as long as the benchmark's tables, byte for byte against the
+    # string route the CLI took before its sums moved to Decimal.
+    def test_monotone_five_three_csv(self, capsys, closed_forms):
+        code, out, _ = run(
+            capsys, "table", "--kind", "monotone", "--mu", "5,3", "--genus-max", "2000",
+            "--format", "csv",
+        )
+        rows = ref_table_rows(closed_forms["monotone"](Partition((5, 3))), 2000)
+        assert code == 0
+        # Lists, not strings: pytest's diff of two long strings is quadratic.
+        assert out.splitlines() == ["g,b,value,decimal"] + [
+            f"{g},{b},{v},{d}" for g, b, v, d in rows
+        ]
+        assert out.endswith("\n")
+
+    def test_simple_four_four_four_text(self, capsys, closed_forms):
+        code, out, _ = run(
+            capsys, "table", "--kind", "simple", "--mu", "4,4,4", "--genus-max", "1000"
+        )
+        rows = ref_table_rows(closed_forms["simple"](Partition((4, 4, 4))), 1000)
+        assert code == 0
+        assert out.splitlines() == ["kind: simple", "mu: 4,4,4", "g  b  value  decimal"] + [
+            f"{g}  {b}  {v}  {d}" for g, b, v, d in rows
+        ]
+        assert out.endswith("\n")
 
 
 class TestOracleCommand:

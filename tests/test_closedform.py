@@ -1,13 +1,17 @@
 import json
+from decimal import Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import islice
+from math import comb, factorial, gcd, prod
 
 import pytest
 
 from hurwitz import closedform, npoint
 from hurwitz.cli import main
 from hurwitz.closedform import (
+    GenusClosedForm,
     asymptotics,
+    decimal_values,
     evaluate,
     monotone_closed_form,
     monotone_leading_coefficient,
@@ -139,6 +143,73 @@ class TestEvaluate:
             assert evaluate(form, g) == expected, (g, kind, parts)
 
 
+class TestDecimalValues:
+    """decimal_values is values in exact Decimal: the same rows, in lowest terms."""
+
+    # mu = (2), so b = 2g + 1 and the normalization is 1/2.
+    # (2^b - 8)/2: -3, then 0 where two nonzero Decimal terms cancel, then 12.
+    CANCELLING = GenusClosedForm("monotone", part(2), [(2, 1, 1), (1, 1, -8)])
+    # (b - 7) 2^(b-1) / 3: -2, -16/3, -32/3, 0, 512/3.
+    THIRDS = GenusClosedForm("monotone", part(2), [(2, 2, F(1, 3)), (2, 1, F(-7, 3))])
+
+    @staticmethod
+    def assert_rows_agree(form, start, count):
+        exact = values(form, start)
+        for g, (num, den) in zip(range(start, start + count), decimal_values(form, start)):
+            assert type(num) is Decimal and type(den) is int and den > 0, g
+            assert str(num) == str(int(num)), g  # plain integer digits
+            assert gcd(int(num), den) == 1, g
+            assert Fraction(int(num), den) == next(exact), (g, form.kind, form.mu.parts)
+
+    @pytest.mark.parametrize("start", [0, 37])
+    @pytest.mark.parametrize("kind", ["simple", "monotone"])
+    def test_rows_match_values(self, closed_forms, kind, start):
+        for d in range(2, 8):
+            for mu in partitions_of(d):
+                self.assert_rows_agree(closed_forms[kind](mu), start, 40)
+
+    def test_negative_zero_and_fractional_rows(self):
+        for form in (self.CANCELLING, self.THIRDS):
+            self.assert_rows_agree(form, 0, 40)
+        rows = islice(decimal_values(self.CANCELLING), 3)
+        assert [(str(num), den) for num, den in rows] == [("-3", 1), ("0", 1), ("12", 1)]
+        rows = islice(decimal_values(self.THIRDS), 5)
+        assert [(str(num), den) for num, den in rows] == [
+            ("-2", 1), ("-16", 3), ("-32", 3), ("0", 1), ("512", 3),
+        ]
+
+    def test_table_prints_the_hand_built_rows(self, capsys, monkeypatch):
+        for form, shown in (
+            (self.CANCELLING, ["0  1  -3  -3", "1  3  0  0", "2  5  12  12"]),
+            (
+                self.THIRDS,
+                ["0  1  -2  -2", "1  3  -16/3  -5.33333", "2  5  -32/3  -10.6667",
+                 "3  7  0  0", "4  9  512/3  170.667"],
+            ),
+        ):
+            monkeypatch.setattr(closedform, "monotone_closed_form", lambda mu: form)
+            genus_max = str(len(shown) - 1)
+            argv = ["table", "--kind", "monotone", "--mu", "2", "--genus-max", genus_max]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[3:] == shown
+
+    def test_caller_context_is_untouched(self, closed_forms):
+        # A context left set by the generator would show here as a changed
+        # prec; rows computed in the caller's context would raise Inexact.
+        form = closed_forms["simple"](part(4, 4, 4))
+        exact = values(form)
+        with localcontext() as caller:
+            caller.prec = 6
+            caller.traps[Inexact] = True
+            traps = dict(caller.traps)
+            rows = decimal_values(form)
+            for _ in range(40):
+                num, den = next(rows)
+                assert getcontext() is caller
+                assert (caller.prec, dict(caller.traps)) == (6, traps)
+                assert Fraction(int(num), den) == next(exact)
+
+
 class TestGenusZeroAnchors:
     # Closed formulas that share nothing with npoint or the oracle; the
     # library has no guard, so the profiles past the CLI's reach run too.
@@ -249,6 +320,16 @@ class TestStructureChecks:
     def test_monotone_leading_formula(self):
         assert monotone_leading_coefficient(2) == 1
         assert monotone_leading_coefficient(5) == F(2 * 4**3, factorial(5) * factorial(3))
+
+    def test_monotone_second_coefficient(self, closed_forms):
+        # C(mu; d-2, 1) = -4 (d-2)^(d-3) (d-2+m_1) / (d! (d-3)!), with m_1
+        # the number of parts equal to 1; structure_checks does not read it.
+        profiles = [mu for d in range(3, 10) for mu in partitions_of(d)]
+        assert len(profiles) == 93
+        for mu in profiles:
+            d, m1 = mu.size, mu.parts.count(1)
+            expected = F(-4 * (d - 2) ** (d - 3) * (d - 2 + m1), factorial(d) * factorial(d - 3))
+            assert closed_forms["monotone"](mu).coefficient(d - 2) == expected, mu.parts
 
     def test_degree_two_second_not_applicable(self):
         report = structure_checks(simple_closed_form(part(1, 1)))
