@@ -17,11 +17,10 @@ tables.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from decimal import MAX_EMAX, Context
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import closedform
 from .closedform import GenusClosedForm
@@ -57,6 +56,11 @@ ORACLE_MAX_BRANCH_POINTS = 12
 
 # The table's display-only decimal column: six significant digits, half-even.
 SIX = Context(prec=6, Emax=MAX_EMAX)
+
+# Characters per write.  The document goes out as it is rendered, so it is
+# never held whole beside its rows; writing each line on its own instead
+# made a long table slower to print.
+BATCH = 1 << 16
 
 _FORMATS = ("text", "json", "csv")
 _KINDS = ("simple", "monotone")
@@ -155,25 +159,49 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render(document: _Document, fmt: str) -> str:
-    # json and csv are imported only by the request that prints them.
-    if fmt == "json":
-        import json
-        return json.dumps(document.payload, indent=2) + "\n"
-    if fmt == "csv":
-        import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(document.columns)
-        writer.writerows(
-            [_cell(row[c]) for c in document.columns] for row in document.rows
-        )
-        return buffer.getvalue()
-    # One expression: a named line list would outlive the join and hold a
-    # third copy of every value while the newline is appended.
-    return "\n".join(
-        [*document.head, *map(document.line, document.rows), *document.foot]
+def _csv_line(cells: Iterable[str]) -> str:
+    """One CSV line as ``csv.writer(..., lineterminator="\\n")`` writes it.
+
+    Cells are joined by commas; a cell holding a comma, a quote or a newline
+    is quoted, its quotes doubled.  Only mu lists such as ``3,2`` need it.
+    """
+    return ",".join(
+        '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
+        for c in cells
     ) + "\n"
+
+
+def _render(document: _Document, fmt: str) -> Iterator[str]:
+    """The document's text in pieces, in order; a row's text is made when reached."""
+    if fmt == "json":
+        # Imported only by the request that prints JSON.  With indent set,
+        # json.dumps runs this same encoder and joins its pieces.
+        import json
+        yield from json.JSONEncoder(indent=2).iterencode(document.payload)
+        yield "\n"
+    elif fmt == "csv":
+        yield _csv_line(document.columns)
+        for row in document.rows:
+            yield _csv_line([_cell(row[c]) for c in document.columns])
+    else:
+        for lines in (document.head, map(document.line, document.rows), document.foot):
+            for line in lines:
+                yield line + "\n"
+
+
+def _write(pieces: Iterable[str], out: TextIO) -> None:
+    """Write the pieces to out in joined batches of about BATCH characters."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= BATCH:
+            out.write("".join(batch))
+            batch.clear()
+            size = 0
+    if batch:
+        out.write("".join(batch))
 
 
 def _cmd_closed_form(args) -> _Document:
@@ -405,13 +433,13 @@ def main(argv=None) -> int:
             if getattr(args, dest) < least:
                 raise ValueError(f"{option} must be >= {least}")
         document = args.handler(args)
-        rendered = _render(document, args.format)
+        pieces = _render(document, args.format)
         try:
             if args.output:
                 with open(args.output, "w", encoding="utf-8") as handle:
-                    handle.write(rendered)
+                    _write(pieces, handle)
             else:
-                sys.stdout.write(rendered)
+                _write(pieces, sys.stdout)
                 sys.stdout.flush()
         except OSError as exc:
             target = args.output or "stdout"

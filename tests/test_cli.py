@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import hurwitz.cli
 from hurwitz import closedform, oracle
-from hurwitz.cli import SIX, _rational, main
+from hurwitz.cli import BATCH, SIX, _csv_line, _rational, main
 from hurwitz.partitions import Partition, branch_points, partitions_of
 
 from dense_reference import ref_table_rows
@@ -264,6 +265,116 @@ class TestTableAtBenchmarkScale:
             f"{g}  {b}  {v}  {d}" for g, b, v, d in rows
         ]
         assert out.endswith("\n")
+
+
+# The tabulate benchmark's longest document: about 3.4 MB in every format.
+LONG_TABLE = ["table", "--kind", "monotone", "--mu", "5,3", "--genus-max", "2000"]
+
+
+class _Sink:
+    """A stdout that records the size of each write and, when asked, its text."""
+
+    def __init__(self, keep=True):
+        self.sizes = []
+        self.text = [] if keep else None
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        if self.text is not None:
+            self.text.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            ["g", "b", "value", "decimal"],
+            ["12", "28", "-3457/16", "-216.062"],
+            ["simple", "3,2", "7", "1.23457E+1234"],
+            ["6", "2,2,1,1", "true", "", "", "false"],
+            ["0", "", "", ""],
+            ["say \"hi\"", "\"", "\"\"", "a,\"b\""],
+            ["line\nbreak", "\n", ",", "a,b\nc\"d"],
+            [" lead", "trail ", "tab\there", "semi;colon", "'single'"],
+        ],
+    )
+    def test_csv_line_matches_csv_writer(self, cells):
+        import csv
+        import io
+
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(cells)
+        assert _csv_line(cells) == buffer.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_output_file_holds_the_stdout_bytes(self, monkeypatch, tmp_path, fmt):
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main([*LONG_TABLE, "--format", fmt]) == 0
+        out = "".join(sink.text)
+        target = tmp_path / f"table.{fmt}"
+        assert main([*LONG_TABLE, "--format", fmt, "--output", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
+        # Written as rendered: no write is longer than one batch and one line.
+        longest_line = max(map(len, out.splitlines(keepends=True)))
+        assert max(sink.sizes) <= BATCH + longest_line < len(out)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_peak_memory_stays_near_the_output_size(self, monkeypatch, fmt):
+        import tracemalloc
+
+        sink = _Sink(keep=False)
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main([*LONG_TABLE, "--format", fmt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # The rows hold about one output's worth of text; a whole rendered
+        # document beside them read 3.2-3.6 times the output.
+        assert peak < 1.5 * sum(sink.sizes)
+
+    def test_write_failing_mid_stream_is_one_error_line(self, capsys, monkeypatch):
+        class FillsUp:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stdout = FillsUp()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([*LONG_TABLE, "--format", "csv"])
+        assert code == 1
+        assert stdout.writes == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    def test_reader_closing_the_pipe_is_an_error_line(self):
+        # A reader that stops early, as `hurwitz table ... | head` does.
+        src = Path(hurwitz.cli.__file__).parents[1]
+        with subprocess.Popen(
+            [sys.executable, "-m", "hurwitz.cli", *LONG_TABLE, "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ) as proc:
+            assert proc.stdout.read(18) == b"g,b,value,decimal\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n".encode()
 
 
 class TestOracleCommand:

@@ -167,8 +167,8 @@ def test_package_exports_what_the_readme_documents():
 
 def test_cli_import_loads_no_module_a_request_may_not_need():
     # Every request is a fresh process that would pay these imports:
-    # dataclasses pulls in inspect, and json and csv load with the one
-    # output format that uses them.
+    # dataclasses pulls in inspect, json loads with the JSON format only,
+    # and csv never loads: the CLI joins its CSV lines itself.
     heavy = ["csv", "dataclasses", "inspect", "json"]
     probe = f"import sys, hurwitz.cli; print([m for m in {heavy} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
