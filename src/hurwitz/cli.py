@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import MAX_EMAX, Context
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -36,13 +36,15 @@ ENGINE_MAX_DEGREE = 12
 # 0.24-0.41 s (simple) and 0.9-1.4 s (monotone), against 0.5-0.7 and 2.5-2.8 s
 # at 11 (2-vCPU x86, Python 3.11).
 ENGINE_MAX_PARTS = 10
-# eval and table print values of about b*log10(k) digits.  eval's one value
-# goes through the int-to-str conversion, which is quadratic, so its cost
-# follows b^2: on (4,4,4), 1e10 is eval at genus 50000 (0.9 s).  table rows
-# are exact Decimals, whose str is linear, so a table is near-linear in its
-# digits: (4,4,4) up to genus 2000 takes 0.27 s and up to genus 2500 (2.1e10)
-# 0.34 s (fresh processes, 2-vCPU x86, Python 3.11).  The guard stays on the
-# sum of b^2 over the requested genera until eval's conversion is fast too.
+# eval and table print values of about b*log10(k) digits, both as exact
+# Decimal rows (closedform.decimal_values), whose str is linear where the
+# int-to-str conversion is quadratic.  So both are near-linear in their
+# digits: eval at genus 70000, the largest admitted, takes 0.29 s on (4,4,4)
+# and 0.56 s on (3,1^9); table on (4,4,4) up to genus 2000 takes 0.27 s and
+# up to genus 2500 (2.1e10) 0.34 s (fresh processes, 2-vCPU x86, Python
+# 3.11).  The b^2 budget was sized for the quadratic conversion and now
+# over-counts; it stays as it is, so every request it admitted still is,
+# until a timed sweep re-sets it.
 GENUS_MAX_B_SQUARES = 2 * 10**10
 # Over every partition of 7 and 8 at b = 10, 11 and 12 in both kinds, the
 # slowest oracle queries are monotone (3,1,1,1,1,1) and (2,2,1,1,1,1) at
@@ -121,13 +123,19 @@ def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
     return closedform.simple_closed_form(mu)
 
 
+def _ratio(num: int | Decimal, den: int) -> str:
+    """The one text form of an exact value num/den in lowest terms: "p/q", or "p".
+
+    num is an int, or an integer-valued exact Decimal from
+    ``closedform.decimal_values``: eval and table print those rows, whose
+    str is linear in the digits where str(int) is quadratic.
+    """
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _rational(value: Fraction | None) -> str | None:
-    """The one text form of an exact value: "p/q", or "p" when whole; None stays None."""
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """A Fraction as ``_ratio`` writes it; None stays None."""
+    return None if value is None else _ratio(value.numerator, value.denominator)
 
 
 class _Document(NamedTuple):
@@ -237,7 +245,7 @@ def _cmd_eval(args) -> _Document:
         "mu": list(mu.parts),
         "genus": args.genus,
         "b": branch_points(mu, args.genus),
-        "value": _rational(closedform.evaluate(form, args.genus)),
+        "value": _ratio(*next(closedform.decimal_values(form, args.genus))),
     }
     return _Document(
         payload, ("kind", "mu", "genus", "value"), [payload], [], lambda p: p["value"]
@@ -249,13 +257,12 @@ def _cmd_table(args) -> _Document:
     _genus_guard(mu, range(args.genus_max + 1), args.force)
     form = _closed_form(args.kind, mu, args.force)
     rows = []
-    # Exact Decimal numerators print in linear time, where str(int) is quadratic.
     for g, (num, den) in zip(range(args.genus_max + 1), closedform.decimal_values(form)):
         rows.append(
             {
                 "g": g,
                 "b": branch_points(mu, g),
-                "value": str(num) if den == 1 else f"{num}/{den}",
+                "value": _ratio(num, den),
                 "decimal": str(SIX.divide(num, den)),
             }
         )
@@ -422,7 +429,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Exact values can run to many thousands of digits; print them in full.
+    # Print every exact value in full.  eval and table print Decimal rows, so
+    # only requests forced past the guards, such as a deep oracle query, can
+    # still print an int past the default 4300-digit limit.
     digit_limit = None
     if hasattr(sys, "set_int_max_str_digits"):
         digit_limit = sys.get_int_max_str_digits()

@@ -8,10 +8,13 @@ and with b = branch_points(mu, g) the value at genus g is
 
 Values come from one loop over consecutive genera, ``_totals``: each k^b
 is computed once, at the starting genus, and carried to the next row by a
-factor k^2.  The loop runs in two number types.  ``values`` carries Python
-ints and yields Fractions; ``decimal_values`` carries exact ``Decimal``s,
-whose base-10^19 limbs make the per-row multiply and the later ``str``
-linear in the digits, where ``str(int)`` is quadratic.
+factor k^2.  The loop runs in two number types, one per reader.
+``values`` (and ``evaluate``, its first row) carries Python ints and yields
+Fractions, for readers that compute with the value, such as the CLI's
+``verify``, which compares it with the oracle's.  ``decimal_values``
+carries exact ``Decimal``s for readers that print it, the CLI's ``eval``
+and ``table``: their base-10^19 limbs make the per-row multiply and the
+later ``str`` linear in the digits, where ``str(int)`` is quadratic.
 
 Monotone forms come from partial fractions of the factored generating
 function (negative-k poles folded into positive k by parity); simple forms

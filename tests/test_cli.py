@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def digit_limit(maxdigits):
+    """Hold the int-to-str digit limit at maxdigits (0 lifts it), where Python has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    setter, old = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+    setter(maxdigits)
+    try:
+        yield
+    finally:
+        setter(old)
 
 
 def assert_payload_is_form(data, form):
@@ -151,7 +166,8 @@ class TestEvalCommand:
         assert out == "25\n"
 
     def test_value_beyond_int_str_digit_limit(self, capsys):
-        # about 7300 digits, past the default int-to-str limit of 4300
+        # About 7300 digits, past the default int-to-str limit of 4300: eval
+        # prints an exact Decimal row, and the str(int) below needs the lift.
         code, out, err = run(
             capsys, "eval", "--kind", "simple", "--mu", "4,4,4", "--genus", "2000"
         )
@@ -179,6 +195,52 @@ class TestEvalCommand:
         )
         data = json.loads(out)
         assert data == {"kind": "simple", "mu": [5], "genus": 1, "b": 6, "value": "3125"}
+
+    @pytest.mark.parametrize("kind", ["simple", "monotone"])
+    def test_prints_the_evaluated_rational(self, capsys, monkeypatch, closed_forms, kind):
+        # eval prints the table's exact Decimal row; it reads as evaluate's Fraction.
+        monkeypatch.setattr(closedform, f"{kind}_closed_form", closed_forms[kind])
+        for d in range(2, 7):
+            for mu in partitions_of(d):
+                for g in (0, 1, 9):
+                    value = _rational(closedform.evaluate(closed_forms[kind](mu), g))
+                    argv = ["eval", "--kind", kind, "--mu", ",".join(map(str, mu.parts))]
+                    argv += ["--genus", str(g)]
+                    assert run(capsys, *argv) == (0, value + "\n", ""), (mu, g)
+                    code, out, _ = run(capsys, *argv, "--format", "json")
+                    assert code == 0
+                    assert json.loads(out) == {
+                        "kind": kind, "mu": list(mu.parts), "genus": g,
+                        "b": branch_points(mu, g), "value": value,
+                    }
+
+    def test_does_not_call_evaluate(self, capsys, monkeypatch):
+        def refuse(form, g):
+            raise AssertionError("eval called closedform.evaluate")
+
+        monkeypatch.setattr(closedform, "evaluate", refuse)
+        result = run(capsys, "eval", "--kind", "simple", "--mu", "5", "--genus", "1")
+        assert result == (0, "3125\n", "")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv", [("eval", "--genus", "2000"), ("table", "--genus-max", "2000", "--format", "csv")]
+)
+def test_values_print_without_lifting_the_digit_limit(capsys, monkeypatch, argv):
+    # (4,4,4) at genus 2000 has about 7300 digits.  With main's lift made a
+    # no-op, the 4300-digit default stays in force and any str(int) of such a
+    # value raises; eval and table print exact Decimal rows instead.
+    request = [argv[0], "--kind", "simple", "--mu", "4,4,4", *argv[1:]]
+    expected = run(capsys, *request)
+    assert expected[0] == 0, expected[2]
+    cells = [cell for line in expected[1].splitlines() for cell in line.split(",")]
+    assert max(map(len, cells)) > 4300
+    with digit_limit(4300):
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
+        assert run(capsys, *request) == expected
 
 
 class TestTableCommand:
@@ -414,6 +476,23 @@ class TestOracleCommand:
         )
         assert result == (0, "mu=2 kind=simple genus=250 b=501 count=1 hurwitz=1/2\n", "")
 
+    def test_forced_count_past_the_digit_limit(self, capsys):
+        # b = 9202: count and value have about 4390 digits each, past the
+        # 4300-digit default, so main lifts the limit for the request only.
+        with digit_limit(4300):
+            result = run(
+                capsys, "oracle", "--kind", "simple", "--mu", "3", "--genus", "4600", "--force"
+            )
+            if hasattr(sys, "get_int_max_str_digits"):
+                assert sys.get_int_max_str_digits() == 4300
+        value = closedform.evaluate(closedform.simple_closed_form(Partition((3,))), 4600)
+        count = value * 6  # d! / |Aut(3)| = 6
+        assert count.denominator == value.denominator == 1
+        assert count > value > 10**4300
+        with digit_limit(0):
+            line = f"mu=3 kind=simple genus=4600 b=9202 count={count} hurwitz={value}\n"
+        assert result == (0, line, "")
+
     def test_counts_once_per_request(self, capsys, monkeypatch):
         calls = []
         real = oracle.count_constellations
@@ -617,16 +696,18 @@ class TestUsageErrors:
     )
     @pytest.mark.parametrize("mu", ["4,4,4", "3,1,1,1,1,1,1,1,1,1"])
     def test_genus_guard_admits(self, capsys, monkeypatch, argv, mu):
-        # b = 2g + |mu| + l - 2 is largest at |mu| = 12, l = 10; the stubs
-        # keep the engine and the big-integer evaluation out of the test
+        # b = 2g + |mu| + l - 2 is largest at |mu| = 12, l = 10; the stub
+        # keeps the engine out of the test, and (2)'s one pole k = 1 keeps
+        # every value small
         small = closedform.simple_closed_form(Partition((2,)))
         monkeypatch.setattr(closedform, "simple_closed_form", lambda _: small)
-        monkeypatch.setattr(closedform, "evaluate", lambda form, g: Fraction(g))
         code, _, err = run(capsys, argv[0], "--kind", "simple", "--mu", mu, *argv[1:])
         assert code == 0, err
 
     def test_genus_guard_admits_force(self, capsys, monkeypatch):
-        monkeypatch.setattr(closedform, "evaluate", lambda form, g: Fraction(g))
+        monkeypatch.setattr(
+            closedform, "decimal_values", lambda form, g=0: iter([(Decimal(g), 1)])
+        )
         code, out, _ = run(
             capsys, "eval", "--kind", "simple", "--mu", "4,4,4", "--genus", "1000000",
             "--force",
