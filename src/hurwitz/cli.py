@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import MAX_EMAX, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Rounded
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
         return document.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Rounded:
+        print(f"error: value has more than {MAX_PREC} digits", file=sys.stderr)
         return 1
     finally:
         if digit_limit is not None:

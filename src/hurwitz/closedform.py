@@ -6,15 +6,13 @@ and with b = branch_points(mu, g) the value at genus g is
 
     normalization * sum over terms of coeff * b^{i-1} * k^b.
 
-Values come from one loop over consecutive genera, ``_totals``: each k^b
-is computed once, at the starting genus, and carried to the next row by a
-factor k^2.  The loop runs in two number types, one per reader.
-``values`` (and ``evaluate``, its first row) carries Python ints and yields
-Fractions, for readers that compute with the value, such as the CLI's
-``verify``, which compares it with the oracle's.  ``decimal_values``
-carries exact ``Decimal``s for readers that print it, the CLI's ``eval``
-and ``table``: their base-10^19 limbs make the per-row multiply and the
-later ``str`` linear in the digits, where ``str(int)`` is quadratic.
+``evaluate`` is this formula at one genus, in exact Fractions.  Rows at
+consecutive genera come from one loop, ``decimal_values``: each k^b is
+computed once, at the starting genus, and carried to the next row by a
+factor k^2, in exact ``Decimal``, whose base-10^19 limbs make the per-row
+multiply and the later ``str`` linear in the digits, where ``str(int)`` is
+quadratic.  The CLI's ``eval`` and ``table`` print those rows; ``verify``
+compares ``evaluate``'s Fraction with the oracle's.
 
 Monotone forms come from partial fractions of the factored generating
 function (negative-k poles folded into positive k by parity); simple forms
@@ -28,7 +26,6 @@ from decimal import (
     MIN_EMIN,
     Context,
     Decimal,
-    Inexact,
     InvalidOperation,
     Rounded,
     localcontext,
@@ -49,7 +46,6 @@ __all__ = [
     "AsymptoticTerm",
     "monotone_closed_form",
     "simple_closed_form",
-    "values",
     "decimal_values",
     "evaluate",
     "structure_checks",
@@ -165,71 +161,52 @@ def simple_closed_form(mu: Partition) -> GenusClosedForm:
     return form
 
 
-# Integer arithmetic in Decimal: any rounding raises instead of dropping digits.
+# Integer arithmetic in Decimal: any rounding raises Rounded instead of
+# dropping digits (Inexact never comes without it).
 _EXACT = Context(
     prec=MAX_PREC,
     Emax=MAX_EMAX,
     Emin=MIN_EMIN,
-    traps=[Inexact, Rounded, InvalidOperation],
+    traps=[Rounded, InvalidOperation],
 )
 
 
-def _totals(form: GenusClosedForm, g: int, power) -> Iterator[tuple]:
-    """(integer sum, common denominator) at genus g, g+1, ..., without end.
+def decimal_values(form: GenusClosedForm, g: int = 0) -> Iterator[tuple[Decimal, int]]:
+    """Exact H or vecH at genus g, g+1, g+2, ... (g >= 0), without end.
 
-    The coefficients share one denominator; per pole k the sum is a small
-    polynomial in b times k^b, where power(k, b) makes the first k^b in the
-    caller's number type and each later one is the last times k^2.
+    This is the only loop over genera.  Each row is (numerator,
+    denominator) in lowest terms: an integer-valued exact Decimal and a
+    positive int.  The coefficients share one denominator; per pole k the
+    row is a small polynomial in b times k^b, where the first row computes
+    k^b and each later row multiplies the last by k^2.  Each row is
+    computed in an exact context that is left before the yield, so the
+    caller's decimal context never changes; a value past ``MAX_PREC``
+    digits raises ``decimal.Rounded``.
     """
     b = branch_points(form.mu, g)
+    p, q = form.normalization.as_integer_ratio()
     den = lcm(*(c.denominator for _, _, c in form.terms))
     poles: dict[int, list[tuple[int, int]]] = {}
     for k, i, c in form.terms:
         poles.setdefault(k, []).append((i - 1, c.numerator * (den // c.denominator)))
-    powers = {k: power(k, b) for k in poles}
-    while True:
-        yield sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items()), den
-        for k in powers:
-            powers[k] *= k * k
-        b += 2
-
-
-def values(form: GenusClosedForm, g: int = 0) -> Iterator[Fraction]:
-    """Exact H or vecH at genus g, g+1, g+2, ... (g >= 0), without end.
-
-    The shared loop ``_totals`` carries the sums here in Python ints (and
-    in exact Decimal for ``decimal_values``); the normalization folds in
-    once per row.
-    """
-    p, q = form.normalization.as_integer_ratio()
-    for total, den in _totals(form, g, pow):
-        yield Fraction(total * p, den * q)
-
-
-def decimal_values(form: GenusClosedForm, g: int = 0) -> Iterator[tuple[Decimal, int]]:
-    """The rows of ``values`` as (numerator, denominator) in lowest terms.
-
-    The numerator is an integer-valued exact Decimal, the denominator a
-    positive int.  Each row is computed in an exact context that is left
-    before the yield, so the caller's decimal context never changes.
-    """
-    p, q = form.normalization.as_integer_ratio()
-    rows = _totals(form, g, lambda k, b: Decimal(k) ** b)
+    den *= q
+    powers: dict[int, Decimal] = {}
     while True:
         with localcontext(_EXACT):
-            total, den = next(rows)
+            powers = {k: powers[k] * (k * k) if powers else Decimal(k) ** b for k in poles}
+            total = sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items())
             num = Decimal(total) * p
-            den *= q
             r = gcd(int(num % den), den)
             if r > 1:
                 num //= r
-                den //= r
-        yield num, den
+        yield num, den // r
+        b += 2
 
 
 def evaluate(form: GenusClosedForm, g: int) -> Fraction:
-    """Exact H_{g;mu} or vecH_{g;mu} at any genus g >= 0."""
-    return next(values(form, g))
+    """Exact H_{g;mu} or vecH_{g;mu} at any genus g >= 0, by the module's formula."""
+    b = branch_points(form.mu, g)
+    return form.normalization * sum(c * b ** (i - 1) * k**b for k, i, c in form.terms)
 
 
 def monotone_leading_coefficient(d: int) -> Fraction:

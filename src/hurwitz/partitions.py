@@ -72,6 +72,7 @@ def aut_order(mu: Partition) -> int:
 
 def branch_points(mu: Partition, g: int) -> int:
     """Riemann-Hurwitz: b = 2g - 2 + d + l simple branch points at genus g >= 0."""
+    g = index(g)
     if g < 0:
         raise ValueError("genus must be >= 0")
     return 2 * g - 2 + mu.size + mu.length

@@ -26,7 +26,7 @@ accumulated in ``Fraction``.
 values were carried from row to row: every k^b computed afresh from the
 terms.  ``ref_table_rows`` renders ``table`` rows as the CLI did before
 its sums moved to Decimal: ``str`` of each Fraction from
-``closedform.values``, and those digits read into Decimal and divided at
+``ref_evaluate``, and those digits read into Decimal and divided at
 six significant digits.  ``tau_correlator`` is the Witten-Kontsevich
 intersection number <tau_{k_1} ... tau_{k_n}>_g by the DVV recursion, for
 the polynomiality anchors.
@@ -39,7 +39,6 @@ from functools import cache
 from itertools import product
 from math import comb, lcm, prod
 
-from hurwitz.closedform import values
 from hurwitz.exactarith import Poly, common_denominator_sum
 from hurwitz.npoint import _block_weights, enumerate_cycles
 from hurwitz.partitions import Partition, branch_points
@@ -394,8 +393,8 @@ def ref_table_rows(form, genus_max):
         rows = []
         with localcontext() as ctx:
             ctx.prec = 6
-            for g, value in zip(range(genus_max + 1), values(form)):
-                exact = str(value)
+            for g in range(genus_max + 1):
+                exact = str(ref_evaluate(form, g))
                 numerator, _, denominator = exact.partition("/")
                 shown = str(Decimal(numerator) / Decimal(denominator or 1))
                 rows.append((g, branch_points(form.mu, g), exact, shown))

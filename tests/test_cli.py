@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -714,6 +714,19 @@ class TestUsageErrors:
         )
         assert code == 0
         assert out == "1000000\n"
+
+    def test_value_past_decimal_precision(self, capsys):
+        # b = 2 * 10**21: 3^b has about 10^21 digits, past decimal.MAX_PREC
+        result = run(
+            capsys, "eval", "--kind", "simple", "--mu", "3", "--genus", str(10**21), "--force"
+        )
+        assert result == (1, "", f"error: value has more than {MAX_PREC} digits\n")
+
+    def test_engine_self_check_still_raises(self, monkeypatch):
+        # only the exact context's Rounded becomes an error line
+        monkeypatch.setattr(closedform, "recombine", lambda decomposition: None)
+        with pytest.raises(ArithmeticError, match="recombination mismatch"):
+            main(["eval", "--kind", "monotone", "--mu", "3", "--genus", "1"])
 
     def test_negative_genus(self, capsys, monkeypatch):
         # refused before any closed form is built or constellation counted

@@ -158,3 +158,8 @@ class TestBranchPoints:
     def test_negative_genus_is_refused(self):
         with pytest.raises(ValueError, match="genus must be >= 0"):
             branch_points(part(3, 3), -1)
+
+    @pytest.mark.parametrize("g", [1.5, 2.0])
+    def test_non_integral_genus_is_refused(self, g):
+        with pytest.raises(TypeError):
+            branch_points(part(3, 3), g)
