@@ -39,12 +39,12 @@ ENGINE_MAX_PARTS = 10
 # eval and table print values of about b*log10(k) digits, both as exact
 # Decimal rows (closedform.decimal_values), whose str is linear where the
 # int-to-str conversion is quadratic.  So both are near-linear in their
-# digits: eval at genus 70000, the largest admitted, takes 0.29 s on (4,4,4)
-# and 0.56 s on (3,1^9); table on (4,4,4) up to genus 2000 takes 0.27 s and
-# up to genus 2500 (2.1e10) 0.34 s (fresh processes, 2-vCPU x86, Python
-# 3.11).  The b^2 budget was sized for the quadratic conversion and now
-# over-counts; it stays as it is, so every request it admitted still is,
-# until a timed sweep re-sets it.
+# digits: eval at genus 70000, the largest admitted, takes 0.18 s on (4,4,4)
+# and 0.45 s on (3,1^9); table on (4,4,4) up to genus 2000 takes 0.17 s and
+# up to genus 2500 (2.1e10) 0.22 s (medians of 5 fresh processes, 2-vCPU
+# x86 Xeon, Python 3.11.7).  The b^2 budget was sized for the quadratic
+# conversion and now over-counts; it stays as it is, so every request it
+# admitted still is, until a timed sweep re-sets it.
 GENUS_MAX_B_SQUARES = 2 * 10**10
 # Over every partition of 7 and 8 at b = 10, 11 and 12 in both kinds, the
 # slowest oracle queries are monotone (3,1,1,1,1,1) and (2,2,1,1,1,1) at

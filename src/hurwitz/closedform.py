@@ -7,12 +7,15 @@ and with b = branch_points(mu, g) the value at genus g is
     normalization * sum over terms of coeff * b^{i-1} * k^b.
 
 ``evaluate`` is this formula at one genus, in exact Fractions.  Rows at
-consecutive genera come from one loop, ``decimal_values``: each k^b is
-computed once, at the starting genus, and carried to the next row by a
-factor k^2, in exact ``Decimal``, whose base-10^19 limbs make the per-row
+consecutive genera come from one loop, ``decimal_values``: each term
+carries its own integer multiple of k^b, raised once per pole k at the
+starting genus and carried to the next row by a factor k^2.  The carried
+values are exact ``Decimal``s, whose base-10^19 limbs make the per-row
 multiply and the later ``str`` linear in the digits, where ``str(int)`` is
-quadratic.  The CLI's ``eval`` and ``table`` print those rows; ``verify``
-compares ``evaluate``'s Fraction with the oracle's.
+quadratic; every operation on them is a method of one explicit exact
+``Context``, so no thread-local decimal context is ever entered.  The
+CLI's ``eval`` and ``table`` print those rows; ``verify`` compares
+``evaluate``'s Fraction with the oracle's.
 
 Monotone forms come from partial fractions of the factored generating
 function (negative-k poles folded into positive k by parity); simple forms
@@ -28,9 +31,9 @@ from decimal import (
     Decimal,
     InvalidOperation,
     Rounded,
-    localcontext,
 )
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd, lcm, prod
 from operator import index
 from typing import Iterator, NamedTuple
@@ -176,31 +179,34 @@ def decimal_values(form: GenusClosedForm, g: int = 0) -> Iterator[tuple[Decimal,
 
     This is the only loop over genera.  Each row is (numerator,
     denominator) in lowest terms: an integer-valued exact Decimal and a
-    positive int.  The coefficients share one denominator; per pole k the
-    row is a small polynomial in b times k^b, where the first row computes
-    k^b and each later row multiplies the last by k^2.  Each row is
-    computed in an exact context that is left before the yield, so the
-    caller's decimal context never changes; a value past ``MAX_PREC``
-    digits raises ``decimal.Rounded``.
+    positive int.  Each term (k, i, c) carries its own c' * k^b, where
+    c' = c * normalization * den is an integer and den is the common
+    denominator: k^b is raised once per pole at the starting genus, and
+    each later row multiplies every carried value by k^2.  A row is the sum
+    of the carried values, each times b^{i-1} when i >= 2, over den,
+    reduced by one gcd.  Every operation is a method of the exact context
+    ``_EXACT``, so no thread-local context is entered and the caller's
+    never changes; a value past ``MAX_PREC`` digits raises
+    ``decimal.Rounded``.
     """
+    add, multiply = _EXACT.add, _EXACT.multiply
     b = branch_points(form.mu, g)
-    p, q = form.normalization.as_integer_ratio()
-    den = lcm(*(c.denominator for _, _, c in form.terms))
-    poles: dict[int, list[tuple[int, int]]] = {}
-    for k, i, c in form.terms:
-        poles.setdefault(k, []).append((i - 1, c.numerator * (den // c.denominator)))
-    den *= q
-    powers: dict[int, Decimal] = {}
+    norm = form.normalization
+    den = norm.denominator * lcm(*(c.denominator for _, _, c in form.terms))
+    powers = {k: _EXACT.power(k, b) for k in {k for k, _, _ in form.terms}}
+    carried = [
+        (Decimal(k * k), i - 1, multiply(int(c * norm * den), powers[k]))
+        for k, i, c in form.terms
+    ]
     while True:
-        with localcontext(_EXACT):
-            powers = {k: powers[k] * (k * k) if powers else Decimal(k) ** b for k in poles}
-            total = sum(sum(n * b**e for e, n in ns) * powers[k] for k, ns in poles.items())
-            num = Decimal(total) * p
-            r = gcd(int(num % den), den)
-            if r > 1:
-                num //= r
+        # Summed from +0, a zero row is never -0 and an empty form reads 0.
+        num = reduce(add, (multiply(v, b**e) if e else v for _, e, v in carried), Decimal(0))
+        r = gcd(int(_EXACT.remainder(num, den)), den)
+        if r > 1:
+            num = _EXACT.divide_int(num, r)
         yield num, den // r
         b += 2
+        carried = [(kk, e, multiply(v, kk)) for kk, e, v in carried]
 
 
 def evaluate(form: GenusClosedForm, g: int) -> Fraction:

@@ -89,6 +89,12 @@ GOLDEN = [
     ("table --kind simple --mu 4,4,4 --genus-max 300 --format text", 0, "a06e261c366c365c8e7ae8e1e8bab40d3915531297adbc8591da737c25d2be9c"),
     ("table --kind simple --mu 4,4,4 --genus-max 300 --format json", 0, "2c820f05e904186c71eea75cc5a651ea4c84f2529306428601ebb830c61c1ef1"),
     ("table --kind simple --mu 4,4,4 --genus-max 300 --format csv", 0, "e5e27198504d742892aa8a8657a8f4fe15d5026b91979084d3f5e4017edc5f51"),
+    # The benchmark's seed-0 tabulate requests, at full length.
+    ("table --kind monotone --mu 10 --genus-max 1000 --format csv", 0, "c75a7d1b12c011faca7ca245b9b6cf21e0801f751ccc1d0713710d974917387e"),
+    ("table --kind simple --mu 5,3 --genus-max 1000 --format json", 0, "af0baf1e84cbd9afe936cbf495a2a1e34524f7253d47b32fc83816c4fcb0fed5"),
+    ("table --kind simple --mu 4,4,4 --genus-max 1000", 0, "b676638f8daf009efd5f8f04f6099227dc2fa3339adf7bf826236246af586002"),
+    ("table --kind monotone --mu 5,3 --genus-max 2000 --format csv", 0, "a67f70e3f307893af52a6e51c6377191a883ff835af8125731447aa1fdbdb89f"),
+    ("eval --kind simple --mu 4,4,4 --genus 2000", 0, "ea56ea71c25854680f5d4596e7c90c0c6fd5a34fae529558e688622fc7ba80d6"),
 ]
 
 

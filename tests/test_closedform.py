@@ -122,7 +122,9 @@ class TestEvaluate:
         with pytest.raises(error):
             next(decimal_values(simple_closed_form(part(3)), g))
 
-    @pytest.mark.parametrize("start", [0, 997])
+    # start 20000: the first row's k^b, raised once per pole, against the
+    # reference where k^b has thousands of digits and b^{i-1} is large
+    @pytest.mark.parametrize("start", [0, 997, 20000])
     @pytest.mark.parametrize(
         "kind, parts",
         [
@@ -151,6 +153,14 @@ class TestDecimalValues:
     CANCELLING = GenusClosedForm("monotone", part(2), [(2, 1, 1), (1, 1, -8)])
     # (b - 7) 2^(b-1) / 3: -2, -16/3, -32/3, 0, 512/3.
     THIRDS = GenusClosedForm("monotone", part(2), [(2, 2, F(1, 3)), (2, 1, F(-7, 3))])
+    # (7 - b) 2^(b-1) / 3: 2, 16/3, 32/3, 0, -512/3.  At b = 7 the negative
+    # carried term times b cancels the positive one: a 0 row, never -0.
+    NEG_THIRDS = GenusClosedForm("monotone", part(2), [(2, 2, F(-1, 3)), (2, 1, F(7, 3))])
+    # Three terms on one pole (i = 1, 2, 3) and a second pole, with
+    # unlike denominators.
+    THREE_TERMS = GenusClosedForm(
+        "monotone", part(3), [(3, 3, F(2, 5)), (3, 2, F(-3, 7)), (3, 1, F(5, 2)), (1, 1, F(-1, 6))]
+    )
 
     @staticmethod
     def assert_rows_agree(form, start, count):
@@ -169,13 +179,18 @@ class TestDecimalValues:
                 self.assert_rows_agree(closed_forms[kind](mu), start, 40)
 
     def test_negative_zero_and_fractional_rows(self):
-        for form in (self.CANCELLING, self.THIRDS):
-            self.assert_rows_agree(form, 0, 40)
+        for form in (self.CANCELLING, self.THIRDS, self.NEG_THIRDS, self.THREE_TERMS):
+            for start in (0, 37):
+                self.assert_rows_agree(form, start, 40)
         rows = islice(decimal_values(self.CANCELLING), 3)
         assert [(str(num), den) for num, den in rows] == [("-3", 1), ("0", 1), ("12", 1)]
         rows = islice(decimal_values(self.THIRDS), 5)
         assert [(str(num), den) for num, den in rows] == [
             ("-2", 1), ("-16", 3), ("-32", 3), ("0", 1), ("512", 3),
+        ]
+        rows = islice(decimal_values(self.NEG_THIRDS), 5)
+        assert [(str(num), den) for num, den in rows] == [
+            ("2", 1), ("16", 3), ("32", 3), ("0", 1), ("-512", 3),
         ]
 
     def test_table_prints_the_hand_built_rows(self, capsys, monkeypatch):
@@ -196,17 +211,19 @@ class TestDecimalValues:
     def test_caller_context_is_untouched(self, closed_forms):
         # A context left set by the generator would show here as a changed
         # prec; rows computed in the caller's context would raise Inexact.
-        form = closed_forms["simple"](part(4, 4, 4))
-        with localcontext() as caller:
-            caller.prec = 6
-            caller.traps[Inexact] = True
-            traps = dict(caller.traps)
-            rows = decimal_values(form)
-            for g in range(40):
-                num, den = next(rows)
-                assert getcontext() is caller
-                assert (caller.prec, dict(caller.traps)) == (6, traps)
-                assert Fraction(int(num), den) == ref_evaluate(form, g)
+        # Monotone (3,3,2,1) has i >= 2 terms, whose rows multiply by b^{i-1}.
+        for kind, parts in (("simple", (4, 4, 4)), ("monotone", (3, 3, 2, 1))):
+            form = closed_forms[kind](part(*parts))
+            with localcontext() as caller:
+                caller.prec = 6
+                caller.traps[Inexact] = True
+                traps = dict(caller.traps)
+                rows = decimal_values(form)
+                for g in range(40):
+                    num, den = next(rows)
+                    assert getcontext() is caller
+                    assert (caller.prec, dict(caller.traps)) == (6, traps)
+                    assert Fraction(int(num), den) == ref_evaluate(form, g), (kind, g)
 
 
 class TestGenusZeroAnchors:
