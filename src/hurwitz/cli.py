@@ -30,12 +30,16 @@ __all__ = ["main", "entry"]
 
 # Every cap is a command-line guard that --force lifts; the library calls
 # run unguarded.
+# The engine cap is on |mu| alone: many parts cost little.  Requests on 11
+# and 12 parts, and the sweeps that reach them (medians of 5 fresh
+# processes, peak RSS; 2-vCPU x86 Xeon, Python 3.11.7):
+#   request                               simple          monotone
+#   closed-form (1^11), (1^12), (2,1^10)  0.07-0.10 s     0.10-0.15 s  16 MB
+#   eval (1^12) at genus 70699, its cap   0.51 s  22 MB   0.20 s  17 MB
+#   table (1^12) to genus 2454, its cap   0.36 s  28 MB   0.28 s  23 MB
+#   checks --d-max 11 (193 partitions)    0.40 s  18 MB   1.60 s  18 MB
+#   checks --d-max 12 (270 partitions)    0.59 s  18 MB   4.08 s  20 MB
 ENGINE_MAX_DEGREE = 12
-# The engine sums over block states, so forced (1^12) takes 0.10-0.28 s and
-# 16 MB.  The cap keeps checks, guarded through (1^d-max), at --d-max 10:
-# 0.24-0.41 s (simple) and 0.9-1.4 s (monotone), against 0.5-0.7 and 2.5-2.8 s
-# at 11 (2-vCPU x86, Python 3.11).
-ENGINE_MAX_PARTS = 10
 # eval and table print values of about b*log10(k) digits, both as exact
 # Decimal rows (closedform.decimal_values), whose str is linear where the
 # int-to-str conversion is quadratic.  So both are near-linear in their
@@ -92,11 +96,6 @@ def _limit(what: str, label: str, value: int, limit: int, force: bool) -> None:
         raise ValueError(f"{what}: {label} = {value} > {limit} (use --force)")
 
 
-def _engine_guard(size: int, length: int, force: bool) -> None:
-    _limit("engine guard", "|mu|", size, ENGINE_MAX_DEGREE, force)
-    _limit("engine guard", "l", length, ENGINE_MAX_PARTS, force)
-
-
 def _oracle_guard(mu: Partition, genus: int, force: bool) -> None:
     what = "oracle search space too large"
     _limit(what, "d", mu.size, ORACLE_MAX_DEGREE, force)
@@ -117,7 +116,7 @@ def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
 
 
 def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
-    _engine_guard(mu.size, mu.length, force)
+    _limit("engine guard", "|mu|", mu.size, ENGINE_MAX_DEGREE, force)
     if kind == "monotone":
         return closedform.monotone_closed_form(mu)
     return closedform.simple_closed_form(mu)
@@ -333,8 +332,8 @@ def _cmd_verify(args) -> _Document:
 
 
 def _cmd_checks(args) -> _Document:
-    # (1^d_max) has the sweep's largest |mu| and l: refuse before any work.
-    _engine_guard(args.d_max, args.d_max, args.force)
+    # The sweep's largest |mu| is d_max: refuse before any work.
+    _limit("engine guard", "|mu|", args.d_max, ENGINE_MAX_DEGREE, args.force)
     rows = []
     for d in range(2, args.d_max + 1):
         for mu in partitions_of(d):

@@ -568,10 +568,11 @@ class TestVerifyCommand:
 
 
 class TestChecksCommand:
-    def test_simple_sweep(self, capsys):
-        code, out, _ = run(capsys, "checks", "--kind", "simple", "--d-max", "5")
+    @pytest.mark.parametrize("d_max, total", [(5, 17), (12, 270)])
+    def test_simple_sweep(self, capsys, d_max, total):
+        code, out, _ = run(capsys, "checks", "--kind", "simple", "--d-max", str(d_max))
         assert code == 0
-        assert "partitions conform" in out
+        assert out.endswith(f"\n{total}/{total} partitions conform\n")
 
     def test_monotone_sweep_json(self, capsys):
         code, out, _ = run(
@@ -639,16 +640,9 @@ class TestUsageErrors:
         assert "engine guard" in err
 
     @pytest.mark.parametrize("parts", [[1] * 11, [1] * 12, [2] + [1] * 10])
-    def test_engine_guard_on_parts(self, capsys, parts):
-        code, out, err = run(
-            capsys, "closed-form", "--kind", "simple", "--mu", ",".join(map(str, parts))
-        )
-        assert code == 1
-        assert out == ""
-        assert f"engine guard: l = {len(parts)} > 10 (use --force)" in err
-
-    def test_engine_guard_admits_ten_parts(self, capsys, monkeypatch):
-        # (1^10) stays accepted; the stub keeps the closed form out of the test
+    def test_engine_guard_on_parts(self, capsys, monkeypatch, parts):
+        # the guard caps |mu| alone, so up to twelve parts are admitted; the
+        # stub keeps the closed form out of the test
         seen = []
         small = closedform.simple_closed_form(Partition((2,)))
 
@@ -657,18 +651,20 @@ class TestUsageErrors:
             return small
 
         monkeypatch.setattr(closedform, "simple_closed_form", stub)
-        code, _, _ = run(capsys, "closed-form", "--kind", "simple", "--mu", ",".join(["1"] * 10))
-        assert code == 0
-        assert seen == [Partition((1,) * 10)]
+        code, _, err = run(
+            capsys, "closed-form", "--kind", "simple", "--mu", ",".join(map(str, parts))
+        )
+        assert code == 0, err
+        assert seen == [Partition(tuple(parts))]
 
     def test_checks_guard_fails_before_the_sweep(self, capsys, monkeypatch):
-        # (1^11) is in the sweep; the guard must refuse before any profile
+        # (13) is in the sweep; the guard must refuse before any profile
         seen = []
         monkeypatch.setattr(closedform, "simple_closed_form", seen.append)
-        code, out, err = run(capsys, "checks", "--kind", "simple", "--d-max", "11")
+        code, out, err = run(capsys, "checks", "--kind", "simple", "--d-max", "13")
         assert code == 1
         assert out == ""
-        assert err == "error: engine guard: l = 11 > 10 (use --force)\n"
+        assert err == "error: engine guard: |mu| = 13 > 12 (use --force)\n"
         assert seen == []
 
     @pytest.mark.parametrize(
@@ -694,9 +690,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv", [("eval", "--genus", "70000"), ("table", "--genus-max", "2000")]
     )
-    @pytest.mark.parametrize("mu", ["4,4,4", "3,1,1,1,1,1,1,1,1,1"])
+    @pytest.mark.parametrize(
+        "mu", ["4,4,4", "3,1,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1,1,1"]
+    )
     def test_genus_guard_admits(self, capsys, monkeypatch, argv, mu):
-        # b = 2g + |mu| + l - 2 is largest at |mu| = 12, l = 10; the stub
+        # b = 2g + |mu| + l - 2 is largest at |mu| = l = 12; the stub
         # keeps the engine out of the test, and (2)'s one pole k = 1 keeps
         # every value small
         small = closedform.simple_closed_form(Partition((2,)))

@@ -80,7 +80,7 @@ GOLDEN = [
     ("oracle --kind simple --mu 9 --genus 0 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eval --kind simple --mu x --genus 0 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1,1,1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1 --format text", 0, "8af17719cbb059511da73e5834d3bc2a53702ce472dd474a72c6ef1c48ac1d89"),
     ("table --kind monotone --mu 3 --genus-max -1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Long tables, where each row's k^b is carried from the row before.
     ("table --kind monotone --mu 3,3,2,1 --genus-max 300 --format text", 0, "873ca2cfe2a265b539b56a46cf26a9c99649943680276adbc96320cb19222d60"),

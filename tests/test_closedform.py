@@ -232,6 +232,9 @@ class TestGenusZeroAnchors:
     PROFILES = [mu for d in range(2, 10) for mu in partitions_of(d)] + [
         Partition((1,) * 10),
         Partition((2,) + (1,) * 8),
+        Partition((1,) * 11),
+        Partition((1,) * 12),
+        Partition((2,) + (1,) * 10),
         Partition((20, 20)),
         Partition((10, 10, 10)),
         Partition((8, 7, 5)),
@@ -239,7 +242,7 @@ class TestGenusZeroAnchors:
 
     def test_simple_hurwitz_formula(self, closed_forms):
         # (d+l-2)! d^(l-3) prod mu_i^mu_i / mu_i!  (Hurwitz 1891)
-        assert len(self.PROFILES) == 100
+        assert len(self.PROFILES) == 103
         for mu in self.PROFILES:
             d, l = mu.size, mu.length
             expected = factorial(d + l - 2) * F(d) ** (l - 3)

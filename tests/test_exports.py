@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
+from hurwitz import cli
 from hurwitz.cli import main
 
 MODULES = [hurwitz] + [
@@ -110,6 +111,24 @@ def test_guards_live_only_in_the_cli():
             if isinstance(node, ast.arg) and node.arg == "force"
         ]
     assert not offenders, offenders
+
+
+def test_readme_states_every_guard_cap():
+    # README's guard paragraph gives each cap in its own notation; a cap
+    # added to cli.py needs a form here, and a changed value a changed README.
+    mantissa, exponent = cli.GENUS_MAX_B_SQUARES, 0
+    while mantissa % 10 == 0:
+        mantissa, exponent = mantissa // 10, exponent + 1
+    forms = {
+        "ENGINE_MAX_DEGREE": f"`|mu| <= {cli.ENGINE_MAX_DEGREE}`",
+        "ORACLE_MAX_DEGREE": f"`d <= {cli.ORACLE_MAX_DEGREE}`",
+        "ORACLE_MAX_BRANCH_POINTS": f"`b <= {cli.ORACLE_MAX_BRANCH_POINTS}`",
+        "GENUS_MAX_B_SQUARES": f"`{mantissa}*10^{exponent}`",
+    }
+    assert {name for name in vars(cli) if "_MAX_" in name} == set(forms)
+    text = (SRC.parents[1] / "README.md").read_text()
+    section = text.split("Guard limits", 1)[1].split("**Start-up.**", 1)[0]
+    assert [form for form in forms.values() if form not in section] == []
 
 
 def test_branch_points_have_one_home():
