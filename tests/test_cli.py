@@ -657,6 +657,20 @@ class TestUsageErrors:
         assert code == 0, err
         assert seen == [Partition(tuple(parts))]
 
+    def test_engine_guard_admits_ten_parts(self, capsys, monkeypatch):
+        # (1^10) stays accepted; the stub keeps the closed form out of the test
+        seen = []
+        small = closedform.simple_closed_form(Partition((2,)))
+
+        def stub(mu):
+            seen.append(mu)
+            return small
+
+        monkeypatch.setattr(closedform, "simple_closed_form", stub)
+        code, _, _ = run(capsys, "closed-form", "--kind", "simple", "--mu", ",".join(["1"] * 10))
+        assert code == 0
+        assert seen == [Partition((1,) * 10)]
+
     def test_checks_guard_fails_before_the_sweep(self, capsys, monkeypatch):
         # (13) is in the sweep; the guard must refuse before any profile
         seen = []
