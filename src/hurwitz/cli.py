@@ -10,6 +10,10 @@ Usage:
     hurwitz asymptotics --kind monotone --mu 5,3
 
 Exit codes: 0 success, 1 usage or guard error, 2 verification mismatch.
+A request is checked in one order before any work: the command's integer
+option, then --mu, then the command's own guard (genus for eval and table,
+oracle for oracle and verify), then the engine guard; the first failure is
+the one error line.
 Only this module turns exact values into text: rationals always print
 exactly as "p/q", and decimals appear only as a display-only column in
 tables.
@@ -115,11 +119,14 @@ def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
             )
 
 
-def _closed_form(kind: str, mu: Partition, force: bool) -> GenusClosedForm:
-    _limit("engine guard", "|mu|", mu.size, ENGINE_MAX_DEGREE, force)
-    if kind == "monotone":
-        return closedform.monotone_closed_form(mu)
-    return closedform.simple_closed_form(mu)
+def _builder(kind: str, size: int, force: bool) -> Callable[..., GenusClosedForm]:
+    """The engine guard on |mu| = size, then the kind's unguarded builder.
+
+    The builder is looked up on ``closedform`` at each request, so a wrapper
+    set there (a tracer's, a test's) sees every build.
+    """
+    _limit("engine guard", "|mu|", size, ENGINE_MAX_DEGREE, force)
+    return getattr(closedform, f"{kind}_closed_form")
 
 
 def _ratio(num: int | Decimal, den: int) -> str:
@@ -211,64 +218,73 @@ def _write(pieces: Iterable[str], out: TextIO) -> None:
         out.write("".join(batch))
 
 
+def _payload(args, **fields) -> dict:
+    """A payload opening with kind, then mu where the command has it, then fields."""
+    mu = {"mu": list(args.mu.parts)} if "mu" in args else {}
+    return {"kind": args.kind, **mu, **fields}
+
+
+def _head(payload: dict, *lines: str) -> list[str]:
+    """The text head: the kind line, the mu line where the payload has mu, then lines."""
+    keys = [key for key in ("kind", "mu") if key in payload]
+    return [f"{key}: {_cell(payload[key])}" for key in keys] + list(lines)
+
+
+def _term_line(term: dict) -> str:
+    """One term of a closed form, marked where asymptotics calls it leading."""
+    line = f"  k={term['k']} i={term['i']} coeff={term['coeff']}"
+    return line + " [leading]" if term.get("leading") else line
+
+
+def _tally(rows: list[dict], key: str, what: str) -> tuple[int, list[str], int]:
+    """The rows whose key holds, the "N/M what" foot, and exit code 0, or 2 on a miss."""
+    passed = sum(row[key] for row in rows)
+    return passed, [f"{passed}/{len(rows)} {what}"], 0 if passed == len(rows) else 2
+
+
 def _cmd_closed_form(args) -> _Document:
-    mu = _parse_mu(args.mu)
-    form = _closed_form(args.kind, mu, args.force)
+    form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     terms = [{"k": k, "i": i, "coeff": _rational(c)} for k, i, c in form.terms]
-    payload = {
-        "kind": args.kind,
-        "mu": list(mu.parts),
-        "b_offset": branch_points(mu, 0),
-        "normalization": _rational(form.normalization),
-        "terms": terms,
-    }
-    head = [
-        f"kind: {args.kind}",
-        f"mu: {_cell(payload['mu'])}",
-        f"b = 2g + {payload['b_offset']}",
-        f"normalization: {payload['normalization']}",
-        "terms (coeff * b^(i-1) * k^b):",
-    ]
-    return _Document(
-        payload, ("k", "i", "coeff"), terms, head,
-        lambda t: f"  k={t['k']} i={t['i']} coeff={t['coeff']}",
+    payload = _payload(
+        args, b_offset=branch_points(args.mu, 0),
+        normalization=_rational(form.normalization), terms=terms,
     )
+    head = _head(
+        payload, f"b = 2g + {payload['b_offset']}",
+        f"normalization: {payload['normalization']}", "terms (coeff * b^(i-1) * k^b):",
+    )
+    return _Document(payload, ("k", "i", "coeff"), terms, head, _term_line)
 
 
 def _cmd_eval(args) -> _Document:
-    mu = _parse_mu(args.mu)
-    _genus_guard(mu, range(args.genus, args.genus + 1), args.force)
-    form = _closed_form(args.kind, mu, args.force)
-    payload = {
-        "kind": args.kind,
-        "mu": list(mu.parts),
-        "genus": args.genus,
-        "b": branch_points(mu, args.genus),
-        "value": _ratio(*next(closedform.decimal_values(form, args.genus))),
-    }
+    _genus_guard(args.mu, range(args.genus, args.genus + 1), args.force)
+    form = _builder(args.kind, args.mu.size, args.force)(args.mu)
+    payload = _payload(
+        args, genus=args.genus, b=branch_points(args.mu, args.genus),
+        value=_ratio(*next(closedform.decimal_values(form, args.genus))),
+    )
     return _Document(
         payload, ("kind", "mu", "genus", "value"), [payload], [], lambda p: p["value"]
     )
 
 
 def _cmd_table(args) -> _Document:
-    mu = _parse_mu(args.mu)
-    _genus_guard(mu, range(args.genus_max + 1), args.force)
-    form = _closed_form(args.kind, mu, args.force)
+    _genus_guard(args.mu, range(args.genus_max + 1), args.force)
+    form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     rows = []
     for g, (num, den) in zip(range(args.genus_max + 1), closedform.decimal_values(form)):
         rows.append(
             {
                 "g": g,
-                "b": branch_points(mu, g),
+                "b": branch_points(args.mu, g),
                 "value": _ratio(num, den),
                 "decimal": str(SIX.divide(num, den)),
             }
         )
-    payload = {"kind": args.kind, "mu": list(mu.parts), "rows": rows}
-    head = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "g  b  value  decimal"]
+    payload = _payload(args, rows=rows)
     return _Document(
-        payload, ("g", "b", "value", "decimal"), rows, head,
+        payload, ("g", "b", "value", "decimal"), rows,
+        _head(payload, "g  b  value  decimal"),
         lambda r: f"{r['g']}  {r['b']}  {r['value']}  {r['decimal']}",
     )
 
@@ -276,17 +292,12 @@ def _cmd_table(args) -> _Document:
 def _cmd_oracle(args) -> _Document:
     from . import oracle
 
-    mu = _parse_mu(args.mu)
-    _oracle_guard(mu, args.genus, args.force)
-    count, value = oracle.oracle_count(mu, args.genus, args.kind)
-    payload = {
-        "kind": args.kind,
-        "mu": list(mu.parts),
-        "genus": args.genus,
-        "b": branch_points(mu, args.genus),
-        "count": count,
-        "hurwitz": _rational(value),
-    }
+    _oracle_guard(args.mu, args.genus, args.force)
+    count, value = oracle.oracle_count(args.mu, args.genus, args.kind)
+    payload = _payload(
+        args, genus=args.genus, b=branch_points(args.mu, args.genus), count=count,
+        hurwitz=_rational(value),
+    )
     return _Document(
         payload, ("kind", "mu", "genus", "b", "count", "hurwitz"), [payload], [],
         lambda p: f"mu={_cell(p['mu'])} kind={p['kind']} genus={p['genus']} b={p['b']} "
@@ -297,14 +308,13 @@ def _cmd_oracle(args) -> _Document:
 def _cmd_verify(args) -> _Document:
     from . import oracle
 
-    mu = _parse_mu(args.mu)
     # The last genus has the largest b: refuse before any engine or oracle work.
-    _oracle_guard(mu, args.genus_max, args.force)
-    form = _closed_form(args.kind, mu, args.force)
+    _oracle_guard(args.mu, args.genus_max, args.force)
+    form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     rows = []
     for g in range(args.genus_max + 1):
         lhs = closedform.evaluate(form, g)
-        rhs = oracle.oracle_hurwitz(mu, g, args.kind)
+        rhs = oracle.oracle_hurwitz(args.mu, g, args.kind)
         rows.append(
             {
                 "g": g,
@@ -313,32 +323,25 @@ def _cmd_verify(args) -> _Document:
                 "match": lhs == rhs,
             }
         )
-    matches = sum(r["match"] for r in rows)
-    payload = {
-        "kind": args.kind,
-        "mu": list(mu.parts),
-        "rows": rows,
-        "matches": matches,
-        "total": len(rows),
-    }
+    matches, foot, code = _tally(rows, "match", "genera match")
+    payload = _payload(args, rows=rows, matches=matches, total=len(rows))
     return _Document(
         payload, ("g", "closed_form", "oracle", "match"), rows,
         [f"mu={_cell(payload['mu'])} kind={args.kind}"],
         lambda r: f"g={r['g']} closed-form={r['closed_form']} oracle={r['oracle']} "
         + ("match" if r["match"] else "MISMATCH"),
-        [f"{matches}/{len(rows)} genera match"],
-        0 if matches == len(rows) else 2,
+        foot, code,
     )
 
 
 def _cmd_checks(args) -> _Document:
-    # The sweep's largest |mu| is d_max: refuse before any work.
-    _limit("engine guard", "|mu|", args.d_max, ENGINE_MAX_DEGREE, args.force)
+    # The sweep's largest |mu| is d_max: one guard, before any work, covers
+    # every partition, and each is built by the unguarded builder.
+    build = _builder(args.kind, args.d_max, args.force)
     rows = []
     for d in range(2, args.d_max + 1):
         for mu in partitions_of(d):
-            form = _closed_form(args.kind, mu, args.force)
-            report = closedform.structure_checks(form)
+            report = closedform.structure_checks(build(mu))
             rows.append(
                 {
                     "d": d,
@@ -351,43 +354,29 @@ def _cmd_checks(args) -> _Document:
                     "pass": report.passed,
                 }
             )
-    passed = sum(r["pass"] for r in rows)
-    payload = {
-        "kind": args.kind,
-        "d_max": args.d_max,
-        "rows": rows,
-        "all_pass": passed == len(rows),
-    }
+    _, foot, code = _tally(rows, "pass", "partitions conform")
+    payload = _payload(args, d_max=args.d_max, rows=rows, all_pass=code == 0)
     return _Document(
         payload, ("d", "mu", "top", "gap_all_zero", "second", "pass"), rows,
-        [f"kind: {args.kind}"],
+        _head(payload),
         lambda r: f"d={r['d']} mu={_cell(r['mu'])} top={r['top']}"
         f" gap={'ok' if r['gap_all_zero'] else 'BAD'}"
         f" second={'-' if r['second'] is None else r['second']} "
         + ("pass" if r["pass"] else "FAIL"),
-        [f"{passed}/{len(rows)} partitions conform"],
-        0 if payload["all_pass"] else 2,
+        foot, code,
     )
 
 
 def _cmd_asymptotics(args) -> _Document:
-    mu = _parse_mu(args.mu)
-    form = _closed_form(args.kind, mu, args.force)
+    form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     terms = [
         {"k": t.k, "i": t.i, "coeff": _rational(t.coeff), "leading": t.leading}
         for t in closedform.asymptotics(form)
     ]
-    payload = {
-        "kind": args.kind,
-        "mu": list(mu.parts),
-        "b_offset": branch_points(mu, 0),
-        "terms": terms,
-    }
-    head = [f"kind: {args.kind}", f"mu: {_cell(payload['mu'])}", "terms by dominance:"]
+    payload = _payload(args, b_offset=branch_points(args.mu, 0), terms=terms)
     return _Document(
-        payload, ("k", "i", "coeff", "leading"), terms, head,
-        lambda t: f"  k={t['k']} i={t['i']} coeff={t['coeff']}"
-        + (" [leading]" if t["leading"] else ""),
+        payload, ("k", "i", "coeff", "leading"), terms,
+        _head(payload, "terms by dominance:"), _term_line,
     )
 
 
@@ -416,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", default=None, help="write the document to a file")
         bound = None
         if option is not None:
-            dest = sub.add_argument(option, type=int, required=True).dest
-            bound = (option, dest, least)
+            bound = (sub.add_argument(option, type=int, required=True), least)
         sub.set_defaults(handler=handler, bound=bound)
     return parser
 
@@ -437,9 +425,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if args.bound is not None:
-            option, dest, least = args.bound
-            if getattr(args, dest) < least:
-                raise ValueError(f"{option} must be >= {least}")
+            action, least = args.bound
+            if getattr(args, action.dest) < least:
+                raise ValueError(f"{action.option_strings[0]} must be >= {least}")
+        if "mu" in args:
+            args.mu = _parse_mu(args.mu)
         document = args.handler(args)
         pieces = _render(document, args.format)
         try:

@@ -750,6 +750,29 @@ class TestUsageErrors:
             assert result == (1, "", "error: --genus must be >= 0\n")
         assert seen == []
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("eval --mu x --genus -1", "--genus must be >= 0"),
+            ("table --mu x --genus-max 1000000", "cannot parse partition from 'x'"),
+            (
+                f"eval --mu {','.join(['1'] * 13)} --genus 1000000",
+                "genus guard: sum of b^2 over the genera > 20000000000 (use --force)",
+            ),
+            (
+                f"verify --mu {','.join(['1'] * 13)} --genus-max 0",
+                "oracle search space too large: d = 13 > 8 (use --force)",
+            ),
+            ("checks --d-max 1", "--d-max must be >= 2"),
+        ],
+    )
+    def test_refusal_order(self, capsys, argv, err):
+        # wrong in two ways: the integer option is checked first, then --mu,
+        # then the command's own guard, then the engine guard
+        command, *rest = argv.split()
+        result = run(capsys, command, "--kind", "simple", *rest)
+        assert result == (1, "", f"error: {err}\n")
+
 
 class TestJsonRoundTripInvariant:
     def test_round_trips_through_emitted_document(self, capsys, closed_forms):

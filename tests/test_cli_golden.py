@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from hurwitz import closedform
 from hurwitz.cli import main
 
 GOLDEN = [
@@ -103,3 +104,34 @@ def test_stdout_bytes_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _evaluate_plus_one(real):
+    return lambda form, g: real(form, g) + 1
+
+
+def _gap_broken(real):
+    return lambda form: real(form)._replace(gap_all_zero=False)
+
+
+# Exit-2 documents: one closedform function is replaced by a faulty one, so
+# every row mismatches or fails and the foot reads 0/N.
+FAULT_GOLDEN = [
+    ("verify --kind simple --mu 3 --genus-max 1 --format text", "evaluate", _evaluate_plus_one, "14e33fae550c9af337450569533fa17442b26468f6e88e7fc137a127deae7199"),
+    ("verify --kind simple --mu 3 --genus-max 1 --format json", "evaluate", _evaluate_plus_one, "733049978eee3461c82aa166ec37567b943607e3edcc4838e4a032eec7b9cf63"),
+    ("verify --kind simple --mu 3 --genus-max 1 --format csv", "evaluate", _evaluate_plus_one, "b21b13f56a6b1a46ccbd3d6c90b30c6d3aa092b0b09054c21ffb489406aefd5f"),
+    ("checks --kind simple --d-max 3 --format text", "structure_checks", _gap_broken, "165535822054bee0106e590ad0be3d0511f077510efbdb6a1f39aa25ec07fa80"),
+    ("checks --kind simple --d-max 3 --format json", "structure_checks", _gap_broken, "1bf9ad482f7be75291b7005d6f280cdab0ce3a21961100474951b0f393719b58"),
+    ("checks --kind simple --d-max 3 --format csv", "structure_checks", _gap_broken, "43c9943c69af6bddca0b13dc3ee6448b3e2724ad8d1934ed76a33b6dbb541f25"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, fault, digest", FAULT_GOLDEN, ids=[c[0] for c in FAULT_GOLDEN]
+)
+def test_fault_stdout_bytes_pinned(capsys, monkeypatch, argv, name, fault, digest):
+    monkeypatch.setattr(closedform, name, fault(getattr(closedform, name)))
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

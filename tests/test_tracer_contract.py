@@ -50,6 +50,21 @@ CASES = [
         "oracle --kind simple --mu 3 --genus 0",
         {"oracle.constellations": 6, "oracle.queries": 1},
     ),
+    (
+        # the sweep builds each closed form through closedform's attributes
+        "checks --kind simple --d-max 4 --format json",
+        {"affine.calls": 100, "closedform.terms": 21},
+    ),
+    (
+        "verify --kind simple --mu 3 --genus-max 1",
+        {
+            "affine.calls": 3,
+            "closedform.evaluations": 2,
+            "closedform.terms": 1,
+            "oracle.constellations": 60,
+            "oracle.queries": 2,
+        },
+    ),
 ]
 
 
