@@ -54,14 +54,13 @@ ENGINE_MAX_DEGREE = 12
 # conversion and now over-counts; it stays as it is, so every request it
 # admitted still is, until a timed sweep re-sets it.
 GENUS_MAX_B_SQUARES = 2 * 10**10
-# Over every partition of 7 and 8 at b = 10, 11 and 12 in both kinds, the
-# slowest oracle queries are monotone (3,1,1,1,1,1) and (2,2,1,1,1,1) at
-# b = 12: 0.11-0.13 s of counting and 19 MB in a fresh process, 0.14-0.19 s
-# for the whole request.  One step further, b = 13 takes 0.08 s for
-# (4,1,1,1,1), and d = 9 takes 0.11 s for (3,3,2,1) at b = 11 (2-vCPU x86,
-# Python 3.11).  So these caps sit well inside the oracle's reach; they stay
-# until every guard is re-set by measured cost.
-ORACLE_MAX_DEGREE = 8
+# The oracle cap is on b alone: b = 2g - 2 + d + l >= d - 1, so b <= 12
+# also means d <= 13.  Over every oracle request it admits (574: each
+# partition and genus with b <= 12, both kinds, a fresh process each), the
+# slowest are monotone at genus 0 and b = 12 (medians of 5, peak RSS;
+# 2-vCPU x86 Xeon, Python 3.11.7): (13) 0.46 s 43 MB, (6,6) 0.39 s 39 MB,
+# (7,5) 0.35 s 36 MB, (8,4) 0.31 s 33 MB.  verify on (6,6) to genus 0
+# takes 0.42 s.  In the sweep no request at d <= 8 took over 0.13 s.
 ORACLE_MAX_BRANCH_POINTS = 12
 
 # The table's display-only decimal column: six significant digits, half-even.
@@ -101,9 +100,8 @@ def _limit(what: str, label: str, value: int, limit: int, force: bool) -> None:
 
 
 def _oracle_guard(mu: Partition, genus: int, force: bool) -> None:
-    what = "oracle search space too large"
-    _limit(what, "d", mu.size, ORACLE_MAX_DEGREE, force)
-    _limit(what, "b", branch_points(mu, genus), ORACLE_MAX_BRANCH_POINTS, force)
+    b = branch_points(mu, genus)
+    _limit("oracle search space too large", "b", b, ORACLE_MAX_BRANCH_POINTS, force)
 
 
 def _genus_guard(mu: Partition, genera: range, force: bool) -> None:

@@ -64,7 +64,7 @@ cycle type of sigma:
 
 Nothing here shares machinery with the generating-function engine; that
 independence is the point.  Like the engine, the library takes any d and
-any b; the command line caps both.
+any b; the command line caps b, which also bounds d (b >= d - 1).
 """
 from __future__ import annotations
 

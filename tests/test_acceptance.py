@@ -18,7 +18,7 @@ from hurwitz.closedform import (
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import monotone_generating, simple_generating
 from hurwitz.oracle import oracle_hurwitz
-from hurwitz.partitions import Partition, partitions_of
+from hurwitz.partitions import Partition, branch_points, partitions_of
 
 from dense_reference import as_pair, ref_flip, ref_taylor
 
@@ -230,19 +230,34 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_oracle_equivalence_to_degree_eight(closed_forms):
-    # criterion 4 widened to every profile the default oracle guard admits
-    # (d <= 8), at b <= 8 or g <= 1; g = 1 reaches b = 16, past the CLI cap
+    # criterion 4 widened to every profile with d <= 8, at b <= 8 or g <= 1;
+    # g = 1 reaches b = 16, past the CLI's oracle cap of b <= 12
     triples = 0
     for d in range(2, 9):
         for mu in partitions_of(d):
             for kind, build in closed_forms.items():
                 form = build(mu)
                 g = 0
-                while 2 * g - 2 + mu.size + mu.length <= 8 or g <= 1:
+                while branch_points(mu, g) <= 8 or g <= 1:
                     assert evaluate(form, g) == oracle_hurwitz(mu, g, kind), (mu, g, kind)
                     triples += 1
                     g += 1
     assert triples == 284
+
+
+def test_oracle_equivalence_at_degree_nine(closed_forms):
+    # every profile with d = 9 at every b the CLI's oracle guard admits
+    # (b <= 12), in both kinds
+    triples = 0
+    for mu in partitions_of(9):
+        for kind, build in closed_forms.items():
+            form = build(mu)
+            g = 0
+            while branch_points(mu, g) <= 12:
+                assert evaluate(form, g) == oracle_hurwitz(mu, g, kind), (mu, g, kind)
+                triples += 1
+                g += 1
+    assert triples == 72
 
 
 def test_criterion_5_simple_structure_sweep():

@@ -450,15 +450,16 @@ class TestOracleCommand:
 
     def test_guard_exit_one(self, capsys):
         code, _, err = run(
-            capsys, "oracle", "--kind", "simple", "--mu", "9", "--genus", "0"
+            capsys, "oracle", "--kind", "simple", "--mu", "14", "--genus", "0"
         )
         assert code == 1
         assert "too large" in err
-        assert "d = 9 > 8 (use --force)" in err
+        assert "b = 13 > 12 (use --force)" in err
 
-    def test_force_lifts_the_degree_cap(self, capsys):
+    def test_degree_nine_admitted(self, capsys):
+        # b = 8 <= 12: the branch-point cap alone decides, and it admits d = 9
         code, out, _ = run(
-            capsys, "oracle", "--kind", "simple", "--mu", "9", "--genus", "0", "--force"
+            capsys, "oracle", "--kind", "simple", "--mu", "9", "--genus", "0"
         )
         assert code == 0
         assert "count=192849310080 hurwitz=531441" in out
@@ -761,7 +762,7 @@ class TestUsageErrors:
             ),
             (
                 f"verify --mu {','.join(['1'] * 13)} --genus-max 0",
-                "oracle search space too large: d = 13 > 8 (use --force)",
+                "oracle search space too large: b = 24 > 12 (use --force)",
             ),
             ("checks --d-max 1", "--d-max must be >= 2"),
         ],

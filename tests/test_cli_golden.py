@@ -78,7 +78,8 @@ GOLDEN = [
     ("checks --kind simple --d-max 5 --format text", 0, "4a83d9555c6be961b5388bfea277de8cb5fbcb86e57603528d177b86718da4a6"),
     ("checks --kind simple --d-max 5 --format json", 0, "b7c6c3ef76f77e5a83e754b88dc9863a008275d8f136da989e9e2dca35616189"),
     ("checks --kind simple --d-max 5 --format csv", 0, "50a5c837bace21999700020996c20b86f5becd8bba2b5d2a1f369c31144d0e1b"),
-    ("oracle --kind simple --mu 9 --genus 0 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("oracle --kind simple --mu 9 --genus 0 --format text", 0, "48dfd3d582a5b67c8c0b0fe6afe39f71e2b3f15ac2b23b3dafdbbd6b0589428a"),
+    ("oracle --kind simple --mu 14 --genus 0 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("eval --kind simple --mu x --genus 0 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1,1,1 --format text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("closed-form --kind simple --mu 1,1,1,1,1,1,1,1,1,1,1 --format text", 0, "8af17719cbb059511da73e5834d3bc2a53702ce472dd474a72c6ef1c48ac1d89"),

@@ -121,7 +121,6 @@ def test_readme_states_every_guard_cap():
         mantissa, exponent = mantissa // 10, exponent + 1
     forms = {
         "ENGINE_MAX_DEGREE": f"`|mu| <= {cli.ENGINE_MAX_DEGREE}`",
-        "ORACLE_MAX_DEGREE": f"`d <= {cli.ORACLE_MAX_DEGREE}`",
         "ORACLE_MAX_BRANCH_POINTS": f"`b <= {cli.ORACLE_MAX_BRANCH_POINTS}`",
         "GENUS_MAX_B_SQUARES": f"`{mantissa}*10^{exponent}`",
     }
