@@ -39,21 +39,25 @@ __all__ = ["main", "entry"]
 # processes, peak RSS; 2-vCPU x86 Xeon, Python 3.11.7):
 #   request                               simple          monotone
 #   closed-form (1^11), (1^12), (2,1^10)  0.07-0.10 s     0.10-0.15 s  16 MB
-#   eval (1^12) at genus 70699, its cap   0.51 s  22 MB   0.20 s  17 MB
-#   table (1^12) to genus 2454, its cap   0.36 s  28 MB   0.28 s  23 MB
+#   eval (1^12) at genus 223595, its cap  2.20 s  37 MB   0.38 s  20 MB
+#   table (1^12) to genus 5301, its cap   1.72 s  70 MB   0.76 s  46 MB
 #   checks --d-max 11 (193 partitions)    0.40 s  18 MB   1.60 s  18 MB
 #   checks --d-max 12 (270 partitions)    0.59 s  18 MB   4.08 s  20 MB
 ENGINE_MAX_DEGREE = 12
 # eval and table print values of about b*log10(k) digits, both as exact
-# Decimal rows (closedform.decimal_values), whose str is linear where the
-# int-to-str conversion is quadratic.  So both are near-linear in their
-# digits: eval at genus 70000, the largest admitted, takes 0.18 s on (4,4,4)
-# and 0.45 s on (3,1^9); table on (4,4,4) up to genus 2000 takes 0.17 s and
-# up to genus 2500 (2.1e10) 0.22 s (medians of 5 fresh processes, 2-vCPU
-# x86 Xeon, Python 3.11.7).  The b^2 budget was sized for the quadratic
-# conversion and now over-counts; it stays as it is, so every request it
-# admitted still is, until a timed sweep re-sets it.
-GENUS_MAX_B_SQUARES = 2 * 10**10
+# Decimal rows (closedform.decimal_values), in time linear in the digits.
+# The genus cap is on the exact sum of b^2 over the genera asked for, set to
+# the largest round value at which every request of a fresh-process sweep
+# ran in 5 s and 100 MB or less: each partition with 2 <= |mu| <= 12, both
+# kinds, eval at its last admitted genus and table at its last admitted
+# genus-max (1080 requests).  The slowest of each over all three formats
+# (medians of 5, peak RSS; 2-vCPU x86 Xeon, Python 3.11.7):
+#   eval  simple    (4,3,1^5) at genus 223598        2.40 s  36 MB
+#   eval  monotone  (3,2,2,1^5) at genus 223597      0.55 s  20 MB
+#   table simple    (7,1^5) to genus 5304, json      1.83 s  76 MB
+#   table monotone  (2^4,1^4) to genus 5303, json    0.91 s  48 MB
+# At 5*10^11 a json table on (5,3,1^4) to genus 7202 peaks at 127 MB.
+GENUS_MAX_B_SQUARES = 2 * 10**11
 # The oracle cap is on b alone: b = 2g - 2 + d + l >= d - 1, so b <= 12
 # also means d <= 13.  Over every oracle request it admits (574: each
 # partition and genus with b <= 12, both kinds, a fresh process each), the
@@ -104,17 +108,11 @@ def _oracle_guard(mu: Partition, genus: int, force: bool) -> None:
     _limit("oracle search space too large", "b", b, ORACLE_MAX_BRANCH_POINTS, force)
 
 
-def _genus_guard(mu: Partition, genera: range, force: bool) -> None:
-    if force:
-        return
-    total = 0
-    for g in genera:
-        total += branch_points(mu, g) ** 2
-        if total > GENUS_MAX_B_SQUARES:
-            raise ValueError(
-                f"genus guard: sum of b^2 over the genera > {GENUS_MAX_B_SQUARES}"
-                " (use --force)"
-            )
+def _genus_guard(mu: Partition, first: int, last: int, force: bool) -> None:
+    """Cap the sum of b^2 over genera first..last, in O(1): b is b0, b0 + 2, ..."""
+    b0, n = branch_points(mu, first), last - first + 1
+    total = n * b0 * b0 + 2 * b0 * n * (n - 1) + 2 * (n - 1) * n * (2 * n - 1) // 3
+    _limit("genus guard", "sum of b^2 over the genera", total, GENUS_MAX_B_SQUARES, force)
 
 
 def _builder(kind: str, size: int, force: bool) -> Callable[..., GenusClosedForm]:
@@ -255,7 +253,7 @@ def _cmd_closed_form(args) -> _Document:
 
 
 def _cmd_eval(args) -> _Document:
-    _genus_guard(args.mu, range(args.genus, args.genus + 1), args.force)
+    _genus_guard(args.mu, args.genus, args.genus, args.force)
     form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     payload = _payload(
         args, genus=args.genus, b=branch_points(args.mu, args.genus),
@@ -267,7 +265,7 @@ def _cmd_eval(args) -> _Document:
 
 
 def _cmd_table(args) -> _Document:
-    _genus_guard(args.mu, range(args.genus_max + 1), args.force)
+    _genus_guard(args.mu, 0, args.genus_max, args.force)
     form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     rows = []
     for g, (num, den) in zip(range(args.genus_max + 1), closedform.decimal_values(form)):

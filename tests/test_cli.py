@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
@@ -683,39 +684,77 @@ class TestUsageErrors:
         assert seen == []
 
     @pytest.mark.parametrize(
-        "argv",
+        "mu, argv, total",
         [
-            ("eval", "--genus", "1000000"),
-            ("eval", "--genus", "71000"),
-            ("table", "--genus-max", "2500"),
-            ("table", "--genus-max", str(10**12)),
+            ("4,4,4", ("eval", "--genus", "1000000"), 4000052000169),
+            ("4,4,4", ("eval", "--genus", "223601"), 200001256225),
+            ("4,4,4", ("table", "--genus-max", "5307"), 200079863468),
+            (",".join(["1"] * 12), ("eval", "--genus", "223596"), 200000361796),
+            (",".join(["1"] * 12), ("table", "--genus-max", "5302"), 200023390336),
+            (
+                "4,4,4", ("table", "--genus-max", str(10**12)),
+                1333333333361333333333529000000000169,
+            ),
+            (
+                "4,4,4", ("table", "--genus-max", str(10**30)),
+                int(
+                    "1333333333333333333333333333361333333333333333333333333333529"
+                    "000000000000000000000000000169"
+                ),
+            ),
         ],
     )
-    def test_genus_guard_refuses_at_once(self, capsys, monkeypatch, argv):
+    def test_genus_guard_refuses_at_once(self, capsys, monkeypatch, mu, argv, total):
+        # one genus past the last admitted, and ranges far longer than
+        # sys.maxsize: the exact sum comes in O(1), before any closed form
         seen = []
         monkeypatch.setattr(closedform, "simple_closed_form", seen.append)
-        code, out, err = run(capsys, argv[0], "--kind", "simple", "--mu", "4,4,4", *argv[1:])
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--kind", "simple", "--mu", mu, *argv[1:])
+        assert time.perf_counter() - start < 0.5
         assert code == 1
         assert out == ""
         assert err == (
-            "error: genus guard: sum of b^2 over the genera > 20000000000 (use --force)\n"
+            f"error: genus guard: sum of b^2 over the genera = {total} > 200000000000"
+            " (use --force)\n"
         )
         assert seen == []
 
     @pytest.mark.parametrize(
-        "argv", [("eval", "--genus", "70000"), ("table", "--genus-max", "2000")]
+        "argv",
+        [
+            ("eval", "--genus", "70000"),
+            ("table", "--genus-max", "2000"),
+            ("eval", "--genus", "223595"),
+            ("table", "--genus-max", "5301"),
+        ],
     )
     @pytest.mark.parametrize(
         "mu", ["4,4,4", "3,1,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1,1,1"]
     )
     def test_genus_guard_admits(self, capsys, monkeypatch, argv, mu):
-        # b = 2g + |mu| + l - 2 is largest at |mu| = l = 12; the stub
+        # b = 2g + |mu| + l - 2 is largest at |mu| = l = 12, whose last
+        # admitted genera are 223595 (eval) and 5301 (table); the stub
         # keeps the engine out of the test, and (2)'s one pole k = 1 keeps
         # every value small
         small = closedform.simple_closed_form(Partition((2,)))
         monkeypatch.setattr(closedform, "simple_closed_form", lambda _: small)
         code, _, err = run(capsys, argv[0], "--kind", "simple", "--mu", mu, *argv[1:])
         assert code == 0, err
+
+    def test_genus_guard_sum_equals_the_loop(self, monkeypatch):
+        # the O(1) sum, against b(g)^2 summed genus by genus: a cap at the
+        # sum admits, one below refuses and names the sum
+        for d in range(1, 7):
+            for mu in partitions_of(d):
+                for first in range(0, 25, 3):
+                    for last in range(first, first + 40, 7):
+                        total = sum(branch_points(mu, g) ** 2 for g in range(first, last + 1))
+                        monkeypatch.setattr(hurwitz.cli, "GENUS_MAX_B_SQUARES", total)
+                        hurwitz.cli._genus_guard(mu, first, last, False)
+                        monkeypatch.setattr(hurwitz.cli, "GENUS_MAX_B_SQUARES", total - 1)
+                        with pytest.raises(ValueError, match=f" = {total} > {total - 1} "):
+                            hurwitz.cli._genus_guard(mu, first, last, False)
 
     def test_genus_guard_admits_force(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -758,7 +797,8 @@ class TestUsageErrors:
             ("table --mu x --genus-max 1000000", "cannot parse partition from 'x'"),
             (
                 f"eval --mu {','.join(['1'] * 13)} --genus 1000000",
-                "genus guard: sum of b^2 over the genera > 20000000000 (use --force)",
+                "genus guard: sum of b^2 over the genera = 4000096000576 > 200000000000"
+                " (use --force)",
             ),
             (
                 f"verify --mu {','.join(['1'] * 13)} --genus-max 0",

@@ -113,6 +113,28 @@ def test_guards_live_only_in_the_cli():
     assert not offenders, offenders
 
 
+def test_one_refusal_rule():
+    # Only cli._limit reads force or writes "(use --force)"; every guard
+    # calls it rather than branching on the override itself.
+    source = (SRC / "cli.py").read_text()
+    functions = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
+    limit = next(n for n in functions if n.name == "_limit")
+    assert source.count("(use --force)") == 1
+    assert "(use --force)" in ast.get_source_segment(source, limit)
+    offenders = []
+    for function in functions:
+        for node in ast.walk(function):
+            tests = [getattr(node, "test", None), *getattr(node, "ifs", [])]
+            tests += node.values if isinstance(node, ast.BoolOp) else []
+            names = {
+                getattr(sub, "id", getattr(sub, "attr", None))
+                for test in tests if test is not None for sub in ast.walk(test)
+            }
+            if "force" in names and function is not limit:
+                offenders.append(f"{function.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_readme_states_every_guard_cap():
     # README's guard paragraph gives each cap in its own notation; a cap
     # added to cli.py needs a form here, and a changed value a changed README.
