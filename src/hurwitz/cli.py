@@ -14,16 +14,16 @@ A request is checked in one order before any work: the command's integer
 option, then --mu, then the command's own guard (genus for eval and table,
 oracle for oracle and verify), then the engine guard; the first failure is
 the one error line.
-Only this module turns exact values into text: rationals always print
-exactly as "p/q", and decimals appear only as a display-only column in
-tables.
+Only this module turns exact values into text, and in it only ``_render``:
+a handler's payload holds the library's exact values, each written as its
+str, so rationals print exactly as "p/q".  Decimals appear only as a
+display-only column in tables.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Rounded
-from fractions import Fraction
+from decimal import MAX_EMAX, MAX_PREC, Context, Rounded
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import closedform
@@ -40,7 +40,7 @@ __all__ = ["main", "entry"]
 #   request                               simple          monotone
 #   closed-form (1^11), (1^12), (2,1^10)  0.07-0.10 s     0.10-0.15 s  16 MB
 #   eval (1^12) at genus 223595, its cap  2.20 s  37 MB   0.38 s  20 MB
-#   table (1^12) to genus 5301, its cap   1.72 s  70 MB   0.76 s  46 MB
+#   table (1^12) to genus 5301, its cap   1.30 s  42 MB   0.64 s  30 MB
 #   checks --d-max 11 (193 partitions)    0.40 s  18 MB   1.60 s  18 MB
 #   checks --d-max 12 (270 partitions)    0.59 s  18 MB   4.08 s  20 MB
 ENGINE_MAX_DEGREE = 12
@@ -51,12 +51,14 @@ ENGINE_MAX_DEGREE = 12
 # ran in 5 s and 100 MB or less: each partition with 2 <= |mu| <= 12, both
 # kinds, eval at its last admitted genus and table at its last admitted
 # genus-max (1080 requests).  The slowest of each over all three formats
-# (medians of 5, peak RSS; 2-vCPU x86 Xeon, Python 3.11.7):
+# (medians of 5, peak RSS; 2-vCPU x86 Xeon, Python 3.11.7; table re-measured
+# since its rows hold exact values rather than text):
 #   eval  simple    (4,3,1^5) at genus 223598        2.40 s  36 MB
 #   eval  monotone  (3,2,2,1^5) at genus 223597      0.55 s  20 MB
-#   table simple    (7,1^5) to genus 5304, json      1.83 s  76 MB
-#   table monotone  (2^4,1^4) to genus 5303, json    0.91 s  48 MB
-# At 5*10^11 a json table on (5,3,1^4) to genus 7202 peaks at 127 MB.
+#   table simple    (7,1^5) to genus 5304, json      1.51 s  42 MB
+#   table monotone  (2^4,1^4) to genus 5303, json    0.68 s  31 MB
+# At 5*10^11 a json table on (5,3,1^4) to genus 7202 takes 2.31 s and peaks
+# at 63 MB; the cap waits for the whole sweep to be run there.
 GENUS_MAX_B_SQUARES = 2 * 10**11
 # The oracle cap is on b alone: b = 2g - 2 + d + l >= d - 1, so b <= 12
 # also means d <= 13.  Over every oracle request it admits (574: each
@@ -125,28 +127,30 @@ def _builder(kind: str, size: int, force: bool) -> Callable[..., GenusClosedForm
     return getattr(closedform, f"{kind}_closed_form")
 
 
-def _ratio(num: int | Decimal, den: int) -> str:
-    """The one text form of an exact value num/den in lowest terms: "p/q", or "p".
+class _Quotient:
+    """A row (num, den) of ``closedform.decimal_values``, written as a Fraction is.
 
-    num is an int, or an integer-valued exact Decimal from
-    ``closedform.decimal_values``: eval and table print those rows, whose
-    str is linear in the digits where str(int) is quadratic.
+    num is an integer-valued exact Decimal, whose str is linear in the
+    digits where str(int) is quadratic; den is a positive int.
     """
-    return str(num) if den == 1 else f"{num}/{den}"
 
+    __slots__ = ("num", "den")
 
-def _rational(value: Fraction | None) -> str | None:
-    """A Fraction as ``_ratio`` writes it; None stays None."""
-    return None if value is None else _ratio(value.numerator, value.denominator)
+    def __init__(self, num, den: int) -> None:
+        self.num, self.den = num, den
+
+    def __str__(self) -> str:
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
 
 class _Document(NamedTuple):
     """One command's result; the JSON payload is its only data model.
 
-    CSV projects ``rows`` (dicts taken from the payload) onto ``columns``.
-    Text is the ``head`` lines, ``line(row)`` for each row, then the
-    ``foot`` lines, all built from the payload's strings; the row lines are
-    built only when text output is asked for.
+    The payload holds exact values (ints, bools, None, Fractions, Decimals,
+    ``_Quotient``s), and ``_render`` alone writes them, each as its str.  CSV
+    projects ``rows`` (dicts taken from the payload) onto ``columns``.  Text
+    is the ``head`` lines, ``line(row)`` for each row, then the ``foot``
+    lines; a row's text is made only when it is written.
     """
 
     payload: dict
@@ -185,9 +189,10 @@ def _render(document: _Document, fmt: str) -> Iterator[str]:
     """The document's text in pieces, in order; a row's text is made when reached."""
     if fmt == "json":
         # Imported only by the request that prints JSON.  With indent set,
-        # json.dumps runs this same encoder and joins its pieces.
+        # json.dumps runs this same encoder and joins its pieces; default=str
+        # writes each exact value as the JSON string of its str.
         import json
-        yield from json.JSONEncoder(indent=2).iterencode(document.payload)
+        yield from json.JSONEncoder(indent=2, default=str).iterencode(document.payload)
         yield "\n"
     elif fmt == "csv":
         yield _csv_line(document.columns)
@@ -240,10 +245,10 @@ def _tally(rows: list[dict], key: str, what: str) -> tuple[int, list[str], int]:
 
 def _cmd_closed_form(args) -> _Document:
     form = _builder(args.kind, args.mu.size, args.force)(args.mu)
-    terms = [{"k": k, "i": i, "coeff": _rational(c)} for k, i, c in form.terms]
+    terms = [{"k": k, "i": i, "coeff": c} for k, i, c in form.terms]
     payload = _payload(
-        args, b_offset=branch_points(args.mu, 0),
-        normalization=_rational(form.normalization), terms=terms,
+        args, b_offset=branch_points(args.mu, 0), normalization=form.normalization,
+        terms=terms,
     )
     head = _head(
         payload, f"b = 2g + {payload['b_offset']}",
@@ -257,26 +262,21 @@ def _cmd_eval(args) -> _Document:
     form = _builder(args.kind, args.mu.size, args.force)(args.mu)
     payload = _payload(
         args, genus=args.genus, b=branch_points(args.mu, args.genus),
-        value=_ratio(*next(closedform.decimal_values(form, args.genus))),
+        value=_Quotient(*next(closedform.decimal_values(form, args.genus))),
     )
     return _Document(
-        payload, ("kind", "mu", "genus", "value"), [payload], [], lambda p: p["value"]
+        payload, ("kind", "mu", "genus", "value"), [payload], [], lambda p: f"{p['value']}"
     )
 
 
 def _cmd_table(args) -> _Document:
     _genus_guard(args.mu, 0, args.genus_max, args.force)
     form = _builder(args.kind, args.mu.size, args.force)(args.mu)
-    rows = []
-    for g, (num, den) in zip(range(args.genus_max + 1), closedform.decimal_values(form)):
-        rows.append(
-            {
-                "g": g,
-                "b": branch_points(args.mu, g),
-                "value": _ratio(num, den),
-                "decimal": str(SIX.divide(num, den)),
-            }
-        )
+    rows = [
+        {"g": g, "b": branch_points(args.mu, g), "value": _Quotient(num, den),
+         "decimal": SIX.divide(num, den)}
+        for g, (num, den) in zip(range(args.genus_max + 1), closedform.decimal_values(form))
+    ]
     payload = _payload(args, rows=rows)
     return _Document(
         payload, ("g", "b", "value", "decimal"), rows,
@@ -292,7 +292,7 @@ def _cmd_oracle(args) -> _Document:
     count, value = oracle.oracle_count(args.mu, args.genus, args.kind)
     payload = _payload(
         args, genus=args.genus, b=branch_points(args.mu, args.genus), count=count,
-        hurwitz=_rational(value),
+        hurwitz=value,
     )
     return _Document(
         payload, ("kind", "mu", "genus", "b", "count", "hurwitz"), [payload], [],
@@ -311,14 +311,7 @@ def _cmd_verify(args) -> _Document:
     for g in range(args.genus_max + 1):
         lhs = closedform.evaluate(form, g)
         rhs = oracle.oracle_hurwitz(args.mu, g, args.kind)
-        rows.append(
-            {
-                "g": g,
-                "closed_form": _rational(lhs),
-                "oracle": _rational(rhs),
-                "match": lhs == rhs,
-            }
-        )
+        rows.append({"g": g, "closed_form": lhs, "oracle": rhs, "match": lhs == rhs})
     matches, foot, code = _tally(rows, "match", "genera match")
     payload = _payload(args, rows=rows, matches=matches, total=len(rows))
     return _Document(
@@ -342,11 +335,11 @@ def _cmd_checks(args) -> _Document:
                 {
                     "d": d,
                     "mu": list(mu.parts),
-                    "top": _rational(report.top_coefficient),
-                    "expected_top": _rational(report.expected_top),
+                    "top": report.top_coefficient,
+                    "expected_top": report.expected_top,
                     "gap_all_zero": report.gap_all_zero,
-                    "second": _rational(report.second_coefficient),
-                    "expected_second": _rational(report.expected_second),
+                    "second": report.second_coefficient,
+                    "expected_second": report.expected_second,
                     "pass": report.passed,
                 }
             )
@@ -365,10 +358,7 @@ def _cmd_checks(args) -> _Document:
 
 def _cmd_asymptotics(args) -> _Document:
     form = _builder(args.kind, args.mu.size, args.force)(args.mu)
-    terms = [
-        {"k": t.k, "i": t.i, "coeff": _rational(t.coeff), "leading": t.leading}
-        for t in closedform.asymptotics(form)
-    ]
+    terms = [t._asdict() for t in closedform.asymptotics(form)]
     payload = _payload(args, b_offset=branch_points(args.mu, 0), terms=terms)
     return _Document(
         payload, ("k", "i", "coeff", "leading"), terms,

@@ -13,7 +13,7 @@ import pytest
 
 import hurwitz.cli
 from hurwitz import closedform, oracle
-from hurwitz.cli import BATCH, SIX, _csv_line, _rational, main
+from hurwitz.cli import BATCH, SIX, _csv_line, main
 from hurwitz.partitions import Partition, branch_points, partitions_of
 
 from dense_reference import ref_table_rows
@@ -50,26 +50,64 @@ def assert_payload_is_form(data, form):
     assert terms == list(form.terms)
 
 
-class TestRationalStrings:
-    def test_integer_renders_bare(self):
-        assert _rational(Fraction(7)) == "7"
+# An exact value and its written form: "p/q", or "p" for a whole value; a
+# missing value (None) is JSON null, an empty CSV cell and "-" in checks text.
+EXACT_VALUES = [
+    (Fraction(7), "7"),
+    (Fraction(-7, 180), "-7/180"),
+    (Fraction(0), "0"),
+    (Fraction(-12, 3), "-4"),
+    (Fraction(-10**30), "-1" + "0" * 30),
+    *((Fraction(text), text) for text in ("0", "25", "-4", "1/2", "-1663/2160")),
+    (None, None),
+]
 
-    def test_fraction_renders_with_slash(self):
-        assert _rational(Fraction(-7, 180)) == "-7/180"
 
-    def test_round_trip(self):
-        for text in ("0", "25", "-4", "1/2", "-1663/2160"):
-            assert _rational(Fraction(text)) == text
+class TestExactValuesAsWritten:
+    """Each value as a stubbed checks report's top and second coefficients.
 
-    def test_none_passes_through(self):
-        assert _rational(None) is None
+    checks --d-max 2 has two rows, mu = (2) and (1,1).
+    """
 
-    def test_zero_renders_as_zero(self):
-        assert _rational(Fraction(0)) == "0"
+    @staticmethod
+    def checks(capsys, monkeypatch, value, fmt):
+        top = Fraction(1, 2) if value is None else value
+        report = closedform.StructureReport(top, top, True, value, value)
+        monkeypatch.setattr(closedform, "structure_checks", lambda form: report)
+        code, out, err = run(capsys, "checks", "--kind", "simple", "--d-max", "2", "--format", fmt)
+        assert (code, err) == (0, "")
+        return str(top), out
 
-    def test_negative_whole_value_has_no_denominator(self):
-        assert _rational(Fraction(-12, 3)) == "-4"
-        assert _rational(Fraction(-10**30)) == "-1" + "0" * 30
+    @pytest.mark.parametrize("value, text", EXACT_VALUES)
+    def test_text(self, capsys, monkeypatch, value, text):
+        top, out = self.checks(capsys, monkeypatch, value, "text")
+        second = "-" if text is None else text
+        assert out == (
+            "kind: simple\n"
+            f"d=2 mu=2 top={top} gap=ok second={second} pass\n"
+            f"d=2 mu=1,1 top={top} gap=ok second={second} pass\n"
+            "2/2 partitions conform\n"
+        )
+
+    @pytest.mark.parametrize("value, text", EXACT_VALUES)
+    def test_json(self, capsys, monkeypatch, value, text):
+        top, out = self.checks(capsys, monkeypatch, value, "json")
+        data = json.loads(out)
+        assert data["all_pass"] is True
+        assert len(data["rows"]) == 2
+        for row in data["rows"]:
+            assert (row["top"], row["expected_top"]) == (top, top)
+            assert (row["second"], row["expected_second"]) == (text, text)
+
+    @pytest.mark.parametrize("value, text", EXACT_VALUES)
+    def test_csv(self, capsys, monkeypatch, value, text):
+        top, out = self.checks(capsys, monkeypatch, value, "csv")
+        second = "" if text is None else text
+        assert out == (
+            "d,mu,top,gap_all_zero,second,pass\n"
+            f"2,2,{top},true,{second},true\n"
+            f'2,"1,1",{top},true,{second},true\n'
+        )
 
 
 class TestClosedFormCommand:
@@ -204,7 +242,7 @@ class TestEvalCommand:
         for d in range(2, 7):
             for mu in partitions_of(d):
                 for g in (0, 1, 9):
-                    value = _rational(closedform.evaluate(closed_forms[kind](mu), g))
+                    value = str(closedform.evaluate(closed_forms[kind](mu), g))
                     argv = ["eval", "--kind", kind, "--mu", ",".join(map(str, mu.parts))]
                     argv += ["--genus", str(g)]
                     assert run(capsys, *argv) == (0, value + "\n", ""), (mu, g)
@@ -399,9 +437,10 @@ class TestStreamedOutput:
         finally:
             tracemalloc.stop()
         assert code == 0
-        # The rows hold about one output's worth of text; a whole rendered
-        # document beside them read 3.2-3.6 times the output.
-        assert peak < 1.5 * sum(sink.sizes)
+        # The rows hold exact values, not text: each row's Decimal takes
+        # under half a byte per digit, and a row's text lives only until it
+        # is written.  Rows held as text read 1.25-1.30 times the output.
+        assert peak < 1.0 * sum(sink.sizes)
 
     def test_write_failing_mid_stream_is_one_error_line(self, capsys, monkeypatch):
         class FillsUp:

@@ -5,6 +5,8 @@ everything the request writes to stdout.  Refactors of the CLI or of the
 layers below it must leave all of these unchanged.
 """
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,20 @@ def test_stdout_bytes_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every request the benchmark can issue, with its pinned exit code and stdout
+# sha256; the benchmark counts any other bytes as a failed request.
+PINS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize("request_key", sorted(PINS))
+def test_benchmark_pins_replay(capsys, request_key):
+    assert main(request_key.split()) == PINS[request_key]["exit"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINS[request_key]["sha256"]
 
 
 def _evaluate_plus_one(real):
