@@ -41,8 +41,8 @@ __all__ = ["main", "entry"]
 #   closed-form (1^11), (1^12), (2,1^10)  0.07-0.10 s     0.10-0.15 s  16 MB
 #   eval (1^12) at genus 223595, its cap  2.20 s  37 MB   0.38 s  20 MB
 #   table (1^12) to genus 5301, its cap   1.30 s  42 MB   0.64 s  30 MB
-#   checks --d-max 11 (193 partitions)    0.40 s  18 MB   1.60 s  18 MB
-#   checks --d-max 12 (270 partitions)    0.59 s  18 MB   4.08 s  20 MB
+#   checks --d-max 11 (193 partitions)    0.28 s  19 MB   1.31 s  22 MB
+#   checks --d-max 12 (270 partitions)    0.34 s  23 MB   3.10 s  30 MB
 ENGINE_MAX_DEGREE = 12
 # eval and table print values of about b*log10(k) digits, both as exact
 # Decimal rows (closedform.decimal_values), in time linear in the digits.

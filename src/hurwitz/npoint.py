@@ -42,17 +42,22 @@ C(c_v, t_v) of the c_v labels with part v still left, except that the
 first block takes label 1, one of the largest parts.  A block entered with
 m holds more than m, so each m_i ranges below the parts still left.
 
-These sequences are summed by a DP over block states (parts left, m,
-labels pinned, m_0), each memoized as a map from an int key to an int
-total up to the cycle's close.  The pairs' n + m + 1 add up to d, and
-(n+m+1)! times a_{n,m}'s scalar is (-1)^n C(n+m, n); so with rem =
-mu(left) + m_0 - m still to deal, pair (n, m) weighs the integer
-(-1)^n C(n+m, n) C(rem, n+m+1), and a cycle's scalars multiply to an
-integer over d!.  A pair's hbar part is its int key, and keys add along
-the cycle: the exponent k of e^{k*hbar} (simple), or the keys k = -j of
-the poles 1/(1 - k*hbar) as base-2^w digits at k + d - 1,
-w = l.bit_length() (monotone); a pair holds each pole once and a cycle at
-most l pairs, so no digit carries.
+These sequences are summed by a DP over block states (the multiset of
+parts left as (value, count) pairs, m, whether the block takes label 1,
+m_0), each memoized as a map from an int key to an int total up to the
+cycle's close.  The pairs' n + m + 1 add up to d, and (n+m+1)! times
+a_{n,m}'s scalar is (-1)^n C(n+m, n); so with rem = mu(left) + m_0 - m
+still to deal, pair (n, m) weighs the integer (-1)^n C(n+m, n)
+C(rem, n+m+1), and a cycle's scalars multiply to an integer over d!.  A
+pair's hbar part is its int key, and keys add along the cycle: the
+exponent k of e^{k*hbar} (simple), or the keys k = -j of the poles
+1/(1 - k*hbar) as base-2^w digits, w = l.bit_length(), pole k at digit
+2k - 1 for k > 0 and -2k for k < 0 (monotone); a pair holds each pole
+once and a cycle at most l pairs, so no digit carries.  No state, block
+or key names its profile, so the memos are module-level and serve every
+profile in a process: a sweep over many profiles builds each state once
+per pair-key function, and the monotone kind has one key function per
+width w.
 
 For l = 1 the loop edge 1 -> 1 is one block with one pair (n, m),
 n + m = d - 1: the plain diagonal sum of the one-point function.  For
@@ -109,59 +114,73 @@ def enumerate_cycles(l: int) -> list[tuple[int, ...]]:
 
 
 @cache
-def _block_weights(values: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    """W(t, 0..|t|) of the module docstring; t[i] parts of value values[i]."""
+def _block_weights(block: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """W(t, 0..|t|) of the module docstring; t holds (value, count) pairs."""
     q = [1]
-    for v, count in zip(values, t):
+    for v, count in block:
         for _ in range(count):
             q = [a - b for a, b in zip(q + [0] * v, [0] * v + q)]
     return tuple(accumulate(q))
+
+
+@cache
+def _blocks(left: tuple[tuple[int, int], ...], m: int, pinned: bool):
+    """(parts left after the block, its n, their size, weight times ways).
+
+    If pinned, the block takes label 1, one of the largest parts.
+    """
+    choices, lows = [], [pinned] + [0] * (len(left) - 1)
+    for t in product(*(range(a, k + 1) for a, (_, k) in zip(lows, left))):
+        block = tuple((v, j) for (v, _), j in zip(left, t) if j)
+        size = sum(v * j for v, j in block)
+        # a block holds more than m; this also drops the empty block, whose W is 1
+        weight = _block_weights(block)[m] if size > m else 0
+        if weight:
+            ways = prod(comb(k - a, j - a) for a, (_, k), j in zip(lows, left, t))
+            rest = tuple((v, k - j) for (v, k), j in zip(left, t) if k > j)
+            choices.append((rest, size - 1 - m, sum(v * k for v, k in rest), weight * ways))
+    return choices
+
+
+@cache
+def _tail(affine, left: tuple[tuple[int, int], ...], m: int, pinned: bool, m0: int):
+    """Key totals of the pairs from this block state to the cycle's close."""
+    # the pairs from here to the close have n + m' + 1 summing to rem
+    rem, out = sum(v * k for v, k in left) + m0 - m, {}
+    for rest, n, rest_size, w in _blocks(left, m, pinned):
+        for m_next in range(rest_size) if rest_size else (m0,):
+            key, s = affine(n, m_next), n + m_next + 1
+            weight = (-1) ** n * comb(s - 1, n) * comb(rem, s) * w
+            ends = _tail(affine, rest, m_next, False, m0) if rest_size else {0: 1}
+            for k, total in ends.items():
+                out[key + k] = out.get(key + k, 0) + weight * total
+    return out
 
 
 def _key_totals(mu: Partition, affine) -> dict[int, int]:
     """The module docstring's DP; ``affine(n, m)`` gives a pair's int key."""
     if mu.size < 2:
         raise ValueError("degree must be >= 2")
-    values = tuple(sorted(set(mu.parts), reverse=True))
-    counts = tuple(mu.parts.count(v) for v in values)
-    unpinned = (0,) * len(values)
-    anchor = (1,) + unpinned[1:]  # label 1 takes one of the largest parts
-
-    def size(t: tuple[int, ...]) -> int:
-        return sum(v * k for v, k in zip(values, t))
-
-    @cache
-    def blocks(left: tuple[int, ...], m: int, pinned: tuple[int, ...]):
-        # (parts left after the block, its n, their size, weight times ways)
-        choices = []
-        for t in product(*(range(a, k + 1) for a, k in zip(pinned, left))):
-            # a block holds more than m; this also drops the empty t, whose W is 1
-            weight = _block_weights(values, t)[m] if size(t) > m else 0
-            if weight:
-                ways = prod(comb(k - a, j - a) for k, j, a in zip(left, t, pinned))
-                rest = tuple(k - j for k, j in zip(left, t))
-                choices.append((rest, size(t) - 1 - m, size(rest), weight * ways))
-        return choices
-
-    @cache
-    def tail(left: tuple[int, ...], m: int, pinned: tuple[int, ...], m0: int):
-        # the pairs from here to the close have n + m' + 1 summing to rem
-        rem, out = size(left) + m0 - m, {}
-        for rest, n, rest_size, w in blocks(left, m, pinned):
-            for m_next in range(rest_size) if rest_size else (m0,):
-                key, s = affine(n, m_next), n + m_next + 1
-                weight = (-1) ** n * comb(s - 1, n) * comb(rem, s) * w
-                ends = tail(rest, m_next, unpinned, m0) if rest_size else {0: 1}
-                for k, total in ends.items():
-                    out[key + k] = out.get(key + k, 0) + weight * total
-        return out
-
+    parts = tuple((v, mu.parts.count(v)) for v in sorted(set(mu.parts), reverse=True))
     sign = -1 if mu.length % 2 == 0 else 1
     out: dict[int, int] = {}
     for m0 in range(mu.size):
-        for k, total in tail(counts, m0, anchor, m0).items():
+        for k, total in _tail(affine, parts, m0, True, m0).items():
             out[k] = out.get(k, 0) + sign * total
     return out
+
+
+def _digit(k: int) -> int:
+    """The base-2^w digit of pole k in a packed monotone key."""
+    return 2 * k - 1 if k > 0 else -2 * k
+
+
+@cache
+def _packer(w: int):
+    """The monotone pair key at digit width w, one per w, so states are shared."""
+    def packed(n: int, m: int) -> int:
+        return sum(1 << w * _digit(k) for k in monotone_affine(n, m))
+    return packed
 
 
 def monotone_generating(mu: Partition) -> FactoredRationalFunction:
@@ -172,17 +191,12 @@ def monotone_generating(mu: Partition) -> FactoredRationalFunction:
     """
     d, w = mu.size, mu.length.bit_length()
 
-    def packed(n: int, m: int) -> int:
-        return sum(1 << w * (k + d - 1) for k in monotone_affine(n, m))
-
     def poles(key: int) -> dict[int, int]:
-        mask = (1 << w) - 1
-        return {k: e for k in range(1 - d, d) if (e := key >> w * (k + d - 1) & mask)}
+        return {k: e for k in range(1 - d, d) if (e := key >> w * _digit(k) & (1 << w) - 1)}
 
     den = factorial(d)
-    return common_denominator_sum(
-        (Fraction(c, den), poles(key)) for key, c in _key_totals(mu, packed).items()
-    )
+    totals = _key_totals(mu, _packer(w))
+    return common_denominator_sum((Fraction(c, den), poles(key)) for key, c in totals.items())
 
 
 def simple_generating(mu: Partition) -> dict[int, Fraction]:

@@ -287,7 +287,7 @@ def ref_block_pair_sums(mu: Partition) -> dict[tuple[tuple[int, int], ...], int]
         choices = []
         for t in product(*(range(a, k + 1) for a, k in zip(pinned, left))):
             # a block holds more than m; this also drops the empty t, whose W is 1
-            weight = _block_weights(values, t)[m] if size(t) > m else 0
+            weight = _block_weights(tuple(zip(values, t)))[m] if size(t) > m else 0
             if weight:
                 ways = prod(comb(k - a, j - a) for k, j, a in zip(left, t, pinned))
                 rest = tuple(k - j for k, j in zip(left, t))

@@ -10,7 +10,10 @@ import pytest
 from hurwitz.exactarith import FactoredRationalFunction, Poly
 from hurwitz.npoint import (
     _block_weights,
+    _blocks,
     _key_totals,
+    _packer,
+    _tail,
     enumerate_cycles,
     monotone_affine,
     monotone_generating,
@@ -155,57 +158,59 @@ def pair_sums_digest(pair_sums):
 
 
 @cache
-def block_types() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (values, t) of a nonempty block of a profile with |mu| <= 12."""
+def block_types() -> list[tuple[tuple[int, int], ...]]:
+    """Every nonempty block of a profile with |mu| <= 12, as (value, count) pairs."""
     types = set()
     for d in range(1, 13):
         for mu in partitions_of(d):
             values = tuple(sorted(set(mu.parts), reverse=True))
             counts = [mu.parts.count(v) for v in values]
             types.update(
-                (values, t) for t in product(*(range(c + 1) for c in counts)) if any(t)
+                tuple((v, k) for v, k in zip(values, t) if k)
+                for t in product(*(range(c + 1) for c in counts))
+                if any(t)
             )
     return sorted(types)
 
 
-def block_size(values, t):
-    return sum(v * k for v, k in zip(values, t))
+def block_size(block):
+    return sum(v * k for v, k in block)
 
 
 class TestBlockWeight:
     def test_one_part(self):
         # a lone part p: no labels before the least, so 0 <= m < p balances
         for p in range(1, 7):
-            assert _block_weights((p,), (1,)) == (1,) * p + (0,)
+            assert _block_weights(((p, 1),)) == (1,) * p + (0,)
 
     def test_run_of_ones(self):
         # k ones: exactly m of the other k - 1 labels come first, sign (-1)^m
         for k in range(1, 8):
             expected = [(-1) ** m * comb(k - 1, m) for m in range(k)] + [0]
-            assert _block_weights((1,), (k,)) == tuple(expected)
+            assert _block_weights(((1, k),)) == tuple(expected)
 
     def test_top_part_leads_with_several_values(self):
         # (3, 1): the 3 is the least label; the 1 after it gives +1 at
         # m = 0, 1, 2 and before it -1 at m = 1, 2, 3
-        assert _block_weights((3, 1), (1, 1)) == (1, 0, 0, -1, 0)
+        assert _block_weights(((3, 1), (1, 1))) == (1, 0, 0, -1, 0)
 
     def test_equals_the_reference_walk_over_label_sets(self):
-        for values, t in block_types():
-            size = block_size(values, t)
-            expected = tuple(ref_block_weight(values, t, m) for m in range(size + 1))
-            assert _block_weights(values, t) == expected, (values, t)
+        for block in block_types():
+            values, t = zip(*block)
+            expected = tuple(ref_block_weight(values, t, m) for m in range(block_size(block) + 1))
+            assert _block_weights(block) == expected, block
 
     def test_last_weight_vanishes_and_the_rest_mirror(self):
         # prod_v (1 - x^v)^{t_v} vanishes at x = 1 and is palindromic up to
         # the sign (-1)^{#parts}, so W(t, |t|) = 0 and
         # W(t, m) = (-1)^{#parts + 1} W(t, |t| - 1 - m)
-        for values, t in block_types():
-            size = block_size(values, t)
-            weights = _block_weights(values, t)
-            assert len(weights) == size + 1 and weights[size] == 0, (values, t)
-            sign = -1 if sum(t) % 2 == 0 else 1
+        for block in block_types():
+            size = block_size(block)
+            weights = _block_weights(block)
+            assert len(weights) == size + 1 and weights[size] == 0, block
+            sign = -1 if sum(k for _, k in block) % 2 == 0 else 1
             for m in range(size):
-                assert weights[m] == sign * weights[size - 1 - m], (values, t, m)
+                assert weights[m] == sign * weights[size - 1 - m], (block, m)
 
 
 class TestWeightedPairSums:
@@ -291,6 +296,25 @@ class TestKeyTotals:
             for mu in partitions_of(d):
                 for affine in (simple_affine, lambda n, m: len(monotone_affine(n, m))):
                     assert all(type(c) is int for c in _key_totals(mu, affine).values()), mu
+
+    def test_sharing_states_across_profiles_never_changes_a_total(self):
+        # the DP's memo is keyed by the parts left, not by the profile: each
+        # profile's totals from cleared caches equal those of one sweep, taken
+        # in reverse order, in which later profiles reuse earlier states
+        memos = (_block_weights, _blocks, _tail, _packer)
+        profiles = [mu for d in range(2, 10) for mu in partitions_of(d)]
+        for affine in (lambda mu: simple_affine, lambda mu: _packer(mu.length.bit_length())):
+            alone, built_alone = {}, 0
+            for mu in profiles:
+                for memo in memos:
+                    memo.cache_clear()
+                alone[mu.parts] = _key_totals(mu, affine(mu))
+                built_alone += _tail.cache_info().misses
+            for memo in memos:
+                memo.cache_clear()
+            for mu in reversed(profiles):
+                assert _key_totals(mu, affine(mu)) == alone[mu.parts], mu
+            assert _tail.cache_info().misses < built_alone
 
 
 class TestMonotoneGenerating:
